@@ -7,7 +7,8 @@ SVG sketch of the curves.
 
 Exit codes: 0 success, 2 config or usage error, 3 mathematical degeneracy
 (lightlike denominator, vanishing angular velocity, stationary pole,
-parallel normals), with the offending instant named on stderr.
+parallel normals, conjugate point at infinity), with the offending instant
+named on stderr.
 """
 
 from __future__ import annotations
@@ -255,7 +256,10 @@ def render_svg(samples, width: int = 640, height: int = 480) -> bytes:
 # subcommands
 
 
-def _parse_point(text: str) -> HypNumber:
+def _parse_point(args) -> HypNumber:
+    text = args.point
+    if text is None:
+        raise ConfigError(f"{args.command} needs --point")
     parts = text.split(",")
     if len(parts) != 2:
         raise ConfigError(f"--point: expected X,Y, got {text!r}")
@@ -276,7 +280,7 @@ def _times(args) -> list[float]:
 
 
 def _cmd_eval(motion, args):
-    x = _parse_point(args.point)
+    x = _parse_point(args)
     rows = []
     for t in _times(args):
         xp = map_point(state(motion, t), x)
@@ -285,7 +289,7 @@ def _cmd_eval(motion, args):
 
 
 def _cmd_decompose(motion, args):
-    x = _parse_point(args.point)
+    x = _parse_point(args)
     rows = []
     for t in _times(args):
         d = velocity_decompose(state(motion, t), x, ZERO)
@@ -320,7 +324,7 @@ def _arc_ratio(sample):
 
 
 def _cmd_accel(motion, args):
-    x = _parse_point(args.point)
+    x = _parse_point(args)
     rows = []
     for t in _times(args):
         d = acceleration_decompose(state(motion, t), x, ZERO, ZERO)
@@ -367,15 +371,18 @@ def _cmd_eulersavary(motion, args):
     inv = canonical_invariants(motion, t)
     st = state(motion, t)
     ray = jmul(exp_j(args.alpha)) * args.a  # a j e^{j alpha} in the canonical frame
-    conj = conjugate_point(
-        ConjugateInput(x=ray, h=st.h, sigma=inv.sigma_rate, dnu=inv.sigma_rate * inv.dnu_ds)
-    )
+    try:
+        conj = conjugate_point(
+            ConjugateInput(x=ray, h=st.h, sigma=inv.sigma_rate, dnu=inv.sigma_rate * inv.dnu_ds)
+        )
+    except LightlikeError as exc:
+        raise LightlikeError(f"conjugate point at infinity (inflection circle) at t={t:g}") from exc
     ap = _signed_polar_magnitude(conj)
     return ("r", "rp", "dnu_ds", "ap"), [(inv.r, inv.rp, inv.dnu_ds, ap)]
 
 
 def _cmd_oracle(motion, args):
-    x = _parse_point(args.point)
+    x = _parse_point(args)
     rows = []
     for t in _times(args):
         c = curvature_center_oracle(motion, x, t, args.eps)
@@ -394,7 +401,7 @@ def _cmd_plot(motion, args):
         ("fixed pole curve (P')", [(s.p_fixed.x, s.p_fixed.y) for s in samples]),
     ]
     if args.point is not None:
-        x = _parse_point(args.point)
+        x = _parse_point(args)
         traj = []
         for i in range(args.n):
             t = args.t0 + (args.t1 - args.t0) * i / (args.n - 1)

@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import numdiff
 from .hypernum import (
     Branch,
     HypNumber,
@@ -43,9 +42,9 @@ from .hypernum import (
 from .kinematics import (
     HomotheticMotion,
     MotionState,
+    PoleSample,
+    _pole_sample,
     map_point,
-    pole_point,
-    pole_sample,
     state,
     velocity_decompose,
 )
@@ -97,42 +96,18 @@ class ConjugateInput:
             raise ValueError("pole ray must be nonzero")
 
 
-def _tangent_turning_rate(curve, t: float, tangent: HypNumber) -> float:
-    """d/dt of the hyperbolic polar angle of a curve tangent.
-
-    For a tangent c'(t) = s(t) d(t) with d of unit modulus, d'/d = kappa' j,
-    so kappa' is the unipotent part of c''/c'.  Works on every branch because
-    the constant unit prefactor of d cancels in the quotient.
-    """
-    pdd = numdiff.d2(curve, t)
-    return div(pdd, tangent).y
-
-
-def canonical_invariants(motion: HomotheticMotion, t: float) -> CanonicalInvariants:
-    """Measure the canonical-frame rates from the sampled pole curves.
-
-    Arc rates are the hyperbolic moduli of the two pole-curve tangents;
-    turning rates are differentiated on the curves themselves.  Raises
-    DegeneratePoleCurve for a stationary pole and LightlikeError when a
-    tangent is isotropic (its polar angle is then undefined).
-    """
-    sample = pole_sample(motion, t)
+def _invariants(st: MotionState) -> tuple[CanonicalInvariants, PoleSample]:
+    """canonical_invariants at a state, plus the pole sample they came from."""
+    sample, pdd = _pole_sample(st)
     pd, pdf = sample.pd_moving, sample.pd_fixed
     if classify(pd) is Branch.LIGHTLIKE or classify(pdf) is Branch.LIGHTLIKE:
-        raise LightlikeError(f"isotropic pole tangent at t={t:g}")
+        raise LightlikeError(f"isotropic pole tangent at t={st.t:g}")
     sm = modulus_h(pd)
     sf = modulus_h(pdf)
-
-    def moving_pole(s: float) -> HypNumber:
-        st = state(motion, s)
-        return pole_point(st)
-
-    def fixed_pole(s: float) -> HypNumber:
-        st = state(motion, s)
-        return map_point(st, pole_point(st))
-
-    tau = _tangent_turning_rate(moving_pole, t, pd)
-    taup = _tangent_turning_rate(fixed_pole, t, pdf)
+    # P'' of the fixed curve P = (h p - u) e^{j phi}, from P' = h p' e^{j phi}
+    pddf = (st.twist() * pd + pdd * st.h) * st.rot
+    tau = div(pdd, pd).y
+    taup = div(pddf, pdf).y
     r = sm / tau if tau != 0.0 else math.inf
     rp = sf / taup if taup != 0.0 else math.inf
     inv_r = tau / sm
@@ -145,7 +120,21 @@ def canonical_invariants(motion: HomotheticMotion, t: float) -> CanonicalInvaria
         r=r,
         rp=rp,
         dnu_ds=inv_rp - inv_r,
-    )
+    ), sample
+
+
+def canonical_invariants(motion: HomotheticMotion, t: float) -> CanonicalInvariants:
+    """The canonical-frame rates of the pole curves at one instant.
+
+    Arc rates are the hyperbolic moduli of the two pole-curve tangents.  A
+    tangent c' = s d with d of unit modulus has d'/d = j kappa', so the
+    turning rate kappa' of its polar angle is the unipotent part of c''/c'
+    on every branch: tau = Im(p''/p') and tau' = Im(P''/P'), with p', p''
+    and P', P'' exact closed forms of one state.  Raises DegeneratePoleCurve
+    for a stationary pole and LightlikeError when a tangent is isotropic
+    (its polar angle is then undefined).
+    """
+    return _invariants(state(motion, t))[0]
 
 
 def conjugate_point(inp: ConjugateInput) -> HypNumber:
@@ -220,8 +209,7 @@ def predicted_curvature_center(motion: HomotheticMotion, t: float, x: HypNumber)
     for varying h it returns the literal conjugate-relation prediction.
     """
     st = state(motion, t)
-    sample = pole_sample(motion, t)
-    inv = canonical_invariants(motion, t)
+    inv, sample = _invariants(st)
     p = sample.p_moving
     dm = _unit_tangent(sample.pd_moving)
     df = _unit_tangent(sample.pd_fixed)

@@ -13,6 +13,9 @@ point whose sliding velocity vanishes), the moving and fixed pole curves with
 their rolling law ds' = |h| ds, the acceleration split with its Coriolis
 term, and the acceleration pole.
 
+Pole-curve derivatives are exact closed forms of one state: the quotient rule
+on the pole formula, fed by the 3-jets of (h, phi, u).
+
 All state objects are immutable values and every function is pure.
 """
 
@@ -20,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import numdiff
 from .hypernum import HypNumber, LightlikeError, exp_j, div, jmul, modulus_h
 from .paths import HypPath, ScalarPath, eval_hyp_jet, eval_jet
 
@@ -63,23 +65,21 @@ class HomotheticMotion:
 
 @dataclass(frozen=True)
 class MotionState:
-    """All jets of (h, phi, u) at one instant; input to every formula below.
+    """The 3-jets of (h, phi, u) at one instant, and rot = e^{j phi}."""
 
-    rot caches e^{j phi}.  The source motion rides along so that pole-curve
-    derivatives (which need neighboring instants) can be formed from a state.
-    """
-
-    motion: HomotheticMotion
     t: float
     h: float
     hd: float
     hdd: float
+    hddd: float
     phi: float
     phid: float
     phidd: float
+    phiddd: float
     u: HypNumber
     ud: HypNumber
     udd: HypNumber
+    uddd: HypNumber
     rot: HypNumber
 
     def twist(self) -> HypNumber:
@@ -119,19 +119,21 @@ def state(motion: HomotheticMotion, t: float) -> MotionState:
     jphi = eval_jet(motion.phi, t)
     if abs(jphi.d1) < PHID_FLOOR:
         raise DegenerateError(f"angular velocity vanishes at t={t:g}")
-    u, ud, udd = eval_hyp_jet(motion.u, t)
+    u, ud, udd, uddd = eval_hyp_jet(motion.u, t)
     return MotionState(
-        motion=motion,
         t=t,
         h=jh.v,
         hd=jh.d1,
         hdd=jh.d2,
+        hddd=jh.d3,
         phi=jphi.v,
         phid=jphi.d1,
         phidd=jphi.d2,
+        phiddd=jphi.d3,
         u=u,
         ud=ud,
         udd=udd,
+        uddd=uddd,
         rot=exp_j(jphi.v),
     )
 
@@ -187,37 +189,48 @@ def pole_point(st: MotionState) -> HypNumber:
     return div(num, den)
 
 
-def pole_velocity(st: MotionState) -> HypNumber:
-    """Time derivative of the moving pole curve at this instant.
+def _pole_jet(st: MotionState) -> tuple[HypNumber, HypNumber, HypNumber]:
+    """The pole p and its exact time derivatives p', p'', by the quotient rule
+    on p = N / D with N = u' + j phi' u and D = h' + j h phi':
 
-    Computed by Richardson-extrapolated central differences of pole_point
-    along the motion; accurate to ~1e-11 for basis-built motions.
+        p' = (N' - p D') / D,    p'' = (N'' - 2 p' D' - p D'') / D
     """
-    motion = st.motion
-    return numdiff.d1(lambda s: pole_point(state(motion, s)), st.t)
+    p = pole_point(st)
+    den = st.twist()
+    den1 = HypNumber(st.hdd, st.hd * st.phid + st.h * st.phidd)
+    den2 = HypNumber(st.hddd, st.hdd * st.phid + 2.0 * st.hd * st.phidd + st.h * st.phiddd)
+    num1 = st.udd + jmul(st.u * st.phidd + st.ud * st.phid)
+    num2 = st.uddd + jmul(st.u * st.phiddd + st.ud * (2.0 * st.phidd) + st.udd * st.phid)
+    pd = div(num1 - p * den1, den)
+    pdd = div(num2 - pd * den1 * 2.0 - p * den2, den)
+    return p, pd, pdd
 
 
-def _fixed_pole(motion: HomotheticMotion, t: float) -> HypNumber:
-    st = state(motion, t)
-    return map_point(st, pole_point(st))
+def _pole_sample(st: MotionState) -> tuple[PoleSample, HypNumber]:
+    """pole_sample at a state, plus the moving curve's second derivative p''."""
+    p, pd, pdd = _pole_jet(st)
+    scale = 1.0 + max(abs(p.x), abs(p.y))
+    if max(abs(pd.x), abs(pd.y)) <= 1e-12 * scale:
+        raise DegeneratePoleCurve(f"stationary pole at t={st.t:g}: p={p}")
+    # fixed pole curve P = (h p - u) e^{j phi}: since D p = N, P' = h p' e^{j phi}
+    return PoleSample(st.t, p, map_point(st, p), pd, (pd * st.h) * st.rot), pdd
+
+
+def pole_velocity(st: MotionState) -> HypNumber:
+    """Time derivative of the moving pole curve at this instant, exact to
+    roundoff: p' = (N' - p D') / D by the quotient rule on p = N / D."""
+    return _pole_jet(st)[1]
 
 
 def pole_sample(motion: HomotheticMotion, t: float) -> PoleSample:
     """Positions and tangent vectors of both pole curves at one instant.
 
-    The two tangents are differentiated independently, one on each curve, so
-    the rolling identity p_fixed' = h p_moving' e^{j phi} remains a genuine
-    cross-check.  Raises DegeneratePoleCurve when the pole is stationary.
+    Both tangents are closed forms of one state; the fixed one is
+    h p' e^{j phi}, so the rolling law holds by construction and is checked
+    against differences of the sampled curves in the test suites.  Raises
+    DegeneratePoleCurve when the pole is stationary.
     """
-    st = state(motion, t)
-    p = pole_point(st)
-    pf = map_point(st, p)
-    pd = pole_velocity(st)
-    scale = 1.0 + max(abs(p.x), abs(p.y))
-    if max(abs(pd.x), abs(pd.y)) <= 1e-12 * scale:
-        raise DegeneratePoleCurve(f"stationary pole at t={t:g}: p={p}")
-    pdf = numdiff.d1(lambda s: _fixed_pole(motion, s), t)
-    return PoleSample(t, p, pf, pd, pdf)
+    return _pole_sample(state(motion, t))[0]
 
 
 def pole_curves(motion: HomotheticMotion, t0: float, t1: float, n: int) -> list[PoleSample]:
@@ -237,6 +250,11 @@ def arc_rate_fixed(sample: PoleSample) -> float:
     return modulus_h(sample.pd_fixed)
 
 
+def _quad(st: MotionState) -> HypNumber:
+    """h'' + h phi'^2 + j(2 h' phi' + h phi''), the factor of (x - p) in bf."""
+    return HypNumber(st.hdd + st.h * st.phid * st.phid, 2.0 * st.hd * st.phid + st.h * st.phidd)
+
+
 def acceleration_decompose(
     st: MotionState, x: HypNumber, xd: HypNumber, xdd: HypNumber
 ) -> AccelerationDecomposition:
@@ -252,9 +270,8 @@ def acceleration_decompose(
     its derivative; pole errors propagate.
     """
     tw = st.twist()
-    quad = HypNumber(st.hdd + st.h * st.phid * st.phid, 2.0 * st.hd * st.phid + st.h * st.phidd)
-    p = pole_point(st)
-    pd = pole_velocity(st)
+    quad = _quad(st)
+    p, pd, _ = _pole_jet(st)
     br = (xdd * st.h) * st.rot
     bc = ((xd * tw) * 2.0) * st.rot
     bf = ((x - p) * quad - pd * tw) * st.rot
@@ -270,11 +287,10 @@ def acceleration_pole(st: MotionState) -> HypNumber:
     Raises LightlikeError when the denominator is isotropic, i.e. when
     h'' + h phi'^2 = -/+ (2 h' phi' + h phi'').
     """
-    quad = HypNumber(st.hdd + st.h * st.phid * st.phid, 2.0 * st.hd * st.phid + st.h * st.phidd)
+    quad = _quad(st)
     if quad.x * quad.x == quad.y * quad.y:
         raise LightlikeError(
             f"acceleration-pole denominator {quad} isotropic at t={st.t:g}"
         )
-    p = pole_point(st)
-    pd = pole_velocity(st)
+    p, pd, _ = _pole_jet(st)
     return p + div(pd * st.twist(), quad)

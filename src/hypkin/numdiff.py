@@ -1,11 +1,11 @@
-"""Richardson-extrapolated central differences.
+"""Richardson-extrapolated central differences: a test oracle only.
 
-Used for quantities that have no closed-form jet, chiefly the time derivative
-of the rotation pole.  One level of Richardson extrapolation drops the
-truncation error to O(step^4) while keeping the step large enough that
-cancellation noise stays near 1e-11 for order-one values; plain central
-differences at a small step cannot reach the 1e-9 residuals the pole-curve
-identities are held to.
+No formula of the library calls this module; every derivative hypkin
+reports is an exact closed form.  The test suites use these helpers as the
+independent side of those closed forms (pole tangents, turning rates).  One
+level of Richardson extrapolation drops the truncation error to O(step^4)
+while keeping the step large enough that cancellation noise stays near 1e-11
+for order-one values.
 
 The helpers are generic over the value type: anything supporting +, - and
 scalar multiplication works (floats and HypNumber both do).
@@ -17,7 +17,7 @@ DEFAULT_STEP = 5e-4
 
 
 def step_at(t: float) -> float:
-    """Step policy used throughout the kinematics: scales with |t|."""
+    """Default step: scales with |t|."""
     return DEFAULT_STEP * (1.0 + abs(t))
 
 

@@ -1,10 +1,12 @@
-"""Time-dependent scalars with exact 2-jets.
+"""Time-dependent scalars with exact 3-jets.
 
 Motions are driven by functions of time drawn from a small closed analytic
-basis: monomials c*t^k, c*cosh(w t), c*sinh(w t) and c*exp(w t).  Each term
-has closed-form first and second derivatives, so a path reports the exact
-2-jet (value, first, second derivative) at any instant with no truncation
-error and no differentiation framework.
+basis: monomials c*t^k, c*cosh(w t), c*sinh(w t) and c*exp(w t).  The basis
+is closed under differentiation, so a path reports the exact 3-jet (value
+and first three derivatives) at any instant with no truncation error and no
+differentiation framework.  Order 3 is what the pole curves need: the pole
+is built from first derivatives of the motion, and its tangent and turning
+rate add two more.
 
 fd_jet() is the central-difference counterpart used by the test suites to
 validate the closed forms; it is deliberately independent of eval_jet().
@@ -50,12 +52,13 @@ class BasisTerm:
 
 
 @dataclass(frozen=True)
-class Jet2:
-    """Value and first two derivatives of a scalar path at one instant."""
+class Jet3:
+    """Value and first three derivatives of a scalar path at one instant."""
 
     v: float
     d1: float
     d2: float
+    d3: float
 
 
 @dataclass(frozen=True)
@@ -108,55 +111,63 @@ def exp_term(coeff: float, freq: float) -> BasisTerm:
     return BasisTerm(TermKind.EXP, coeff, freq)
 
 
-def _term_jet(term: BasisTerm, t: float) -> tuple[float, float, float]:
+def _term_jet(term: BasisTerm, t: float) -> tuple[float, float, float, float]:
     c, p = term.coeff, term.param
     if term.kind is TermKind.POLY:
         k = int(p)
         v = c * t**k
         d1 = c * k * t ** (k - 1) if k >= 1 else 0.0
         d2 = c * k * (k - 1) * t ** (k - 2) if k >= 2 else 0.0
-        return v, d1, d2
+        d3 = c * k * (k - 1) * (k - 2) * t ** (k - 3) if k >= 3 else 0.0
+        return v, d1, d2, d3
     if term.kind is TermKind.COSH:
         ch, sh = math.cosh(p * t), math.sinh(p * t)
-        return c * ch, c * p * sh, c * p * p * ch
+        return c * ch, c * p * sh, c * p * p * ch, c * p * p * p * sh
     if term.kind is TermKind.SINH:
         ch, sh = math.cosh(p * t), math.sinh(p * t)
-        return c * sh, c * p * ch, c * p * p * sh
+        return c * sh, c * p * ch, c * p * p * sh, c * p * p * p * ch
     e = math.exp(p * t)
-    return c * e, c * p * e, c * p * p * e
+    return c * e, c * p * e, c * p * p * e, c * p * p * p * e
 
 
-def eval_jet(path: ScalarPath, t: float) -> Jet2:
-    """Exact 2-jet of the path at t, summed term by term."""
-    v = d1 = d2 = 0.0
+def eval_jet(path: ScalarPath, t: float) -> Jet3:
+    """Exact 3-jet of the path at t, summed term by term."""
+    v = d1 = d2 = d3 = 0.0
     for term in path.terms:
-        tv, t1, t2 = _term_jet(term, t)
+        tv, t1, t2, t3 = _term_jet(term, t)
         v += tv
         d1 += t1
         d2 += t2
-    return Jet2(v, d1, d2)
+        d3 += t3
+    return Jet3(v, d1, d2, d3)
 
 
-def eval_hyp_jet(path: HypPath, t: float) -> tuple[HypNumber, HypNumber, HypNumber]:
-    """Componentwise jets of a hyperbolic path: (u, u', u'')."""
+def eval_hyp_jet(path: HypPath, t: float) -> tuple[HypNumber, HypNumber, HypNumber, HypNumber]:
+    """Componentwise jets of a hyperbolic path: (u, u', u'', u''')."""
     jx = eval_jet(path.xpath, t)
     jy = eval_jet(path.ypath, t)
     return (
         HypNumber(jx.v, jy.v),
         HypNumber(jx.d1, jy.d1),
         HypNumber(jx.d2, jy.d2),
+        HypNumber(jx.d3, jy.d3),
     )
 
 
-def fd_jet(path: ScalarPath, t: float, eps: float) -> Jet2:
-    """Central-difference 2-jet, the test oracle for eval_jet.
+def fd_jet(path: ScalarPath, t: float, eps: float) -> Jet3:
+    """Central-difference 3-jet, the test oracle for eval_jet.
 
-    d1 = (f(t+e) - f(t-e)) / 2e and d2 = (f(t+e) - 2 f(t) + f(t-e)) / e^2,
-    both with O(e^2) truncation error.
+    d1 = (f(t+e) - f(t-e)) / 2e, d2 = (f(t+e) - 2 f(t) + f(t-e)) / e^2 and
+    d3 = (f(t+2e) - 2 f(t+e) + 2 f(t-e) - f(t-2e)) / 2e^3, all with O(e^2)
+    truncation error.  Roundoff grows like 1/e^k in the k-th derivative, so
+    each order wants its own step (about 1e-5, 1e-4 and 1e-3).
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    fp = eval_jet(path, t + eps).v
-    fm = eval_jet(path, t - eps).v
-    f0 = eval_jet(path, t).v
-    return Jet2(f0, (fp - fm) / (2.0 * eps), (fp - 2.0 * f0 + fm) / (eps * eps))
+    f0, fp, fm, fpp, fmm = (eval_jet(path, t + k * eps).v for k in (0, 1, -1, 2, -2))
+    return Jet3(
+        f0,
+        (fp - fm) / (2.0 * eps),
+        (fp - 2.0 * f0 + fm) / (eps * eps),
+        (fpp - 2.0 * fp + 2.0 * fm - fmm) / (2.0 * eps**3),
+    )

@@ -249,11 +249,11 @@ def test_criterion_8_canonical_invariants_m1():
     for i in range(11):
         t = -0.8 + 1.6 * i / 10
         inv = canonical_invariants(M1, t)
-        if abs(inv.r - 2.0) > 1e-6:
+        if abs(inv.r - 2.0) > 1e-12:
             failures.append(f"r at t={t:g}: {inv.r!r}")
-        if abs(inv.rp - 1.0) > 1e-6:
+        if abs(inv.rp - 1.0) > 1e-12:
             failures.append(f"rp at t={t:g}: {inv.rp!r}")
-        if abs(inv.dnu_ds - 0.5) > 1e-6:
+        if abs(inv.dnu_ds - 0.5) > 1e-12:
             failures.append(f"dnu_ds at t={t:g}: {inv.dnu_ds!r}")
     report(8, "canonical invariants of the reference motion (11 instants)", failures)
 
@@ -314,7 +314,7 @@ def test_criterion_11_cli_golden(tmp_path, capsys):
     runs = [
         (["pole", "--config", path, "--t", "0"], GOLDEN_POLE),
         (["polecurves", "--config", path, "--t0", "-1", "--t1", "1", "--n", "5"], GOLDEN_POLECURVES),
-        (["eulersavary", "--config", path, "--t", "0", "--a", "2", "--alpha", "0"], GOLDEN_EULERSAVARY),
+        (["eulersavary", "--config", path, "--t", "0", "--a", "1", "--alpha", "0"], GOLDEN_EULERSAVARY),
     ]
     for argv, golden in runs:
         code = cli.main(argv)
@@ -355,6 +355,8 @@ def test_criterion_11_cli_golden(tmp_path, capsys):
     stat.write_text(json.dumps(stationary))
     checks.append((["polecurves", "--config", str(stat), "--t0", "-1", "--t1", "1", "--n", "5"], 3))
     checks.append((["oracle", "--config", path, "--t", "0", "--point", "0,3"], 3))
+    # a = 2 is M1's inflection circle at t = 0: refused, never a silent 1e10
+    checks.append((["eulersavary", "--config", path, "--t", "0", "--a", "2", "--alpha", "0"], 3))
     for argv, expected in checks:
         code = cli.main(argv)
         capsys.readouterr()

@@ -1,10 +1,11 @@
 """CLI contract: config schema, golden CSV output, exit codes, SVG structure.
 
-The golden byte strings were frozen from a verified run (the pole row is the
-exact closed-form value; the pole-curve rows match the closed-form curves of
-the reference motion to 1e-12 and the eulersavary row's invariants match
-(2, 1, 0.5) to 1e-9).  Regenerate them with the commands in each test if the
-numerical differentiation policy ever changes.
+The golden byte strings were frozen from a verified run and checked against
+the closed forms of the reference motion: the pole row and the eulersavary
+row (r, r', dnu/ds, a') = (2, 1, 0.5, 2) are exact, and every pole-curve
+value matches 2 sinh t + j(2 cosh t - 1), sinh 2t + j cosh 2t and the arc
+ratio 1 to 1e-15.  Regenerate them with the commands in each test only after
+checking the new values against those closed forms.
 """
 
 import json
@@ -36,17 +37,14 @@ GOLDEN_POLE = "t,px,py\n0,0,1\n"
 
 GOLDEN_POLECURVES = (
     "t,pmx,pmy,pfx,pfy,arc_ratio\n"
-    "-1,-2.3504023872876028,2.0861612696304874,-3.6268604078470186,3.7621956910836314,0.99999999999842071\n"
-    "-0.5,-1.0421906109874948,1.2552519304127614,-1.1752011936438014,1.5430806348152435,0.99999999999995803\n"
-    "0,0,1,0,1,0.99999999999999778\n"
-    "0.5,1.0421906109874948,1.2552519304127614,1.1752011936438014,1.5430806348152435,0.99999999999995803\n"
-    "1,2.3504023872876028,2.0861612696304874,3.6268604078470186,3.7621956910836314,0.99999999999842071\n"
+    "-1,-2.3504023872876028,2.0861612696304874,-3.6268604078470186,3.7621956910836314,1.0000000000000009\n"
+    "-0.5,-1.0421906109874948,1.2552519304127614,-1.1752011936438014,1.5430806348152435,0.99999999999999978\n"
+    "0,0,1,0,1,1\n"
+    "0.5,1.0421906109874948,1.2552519304127614,1.1752011936438014,1.5430806348152435,0.99999999999999978\n"
+    "1,2.3504023872876028,2.0861612696304874,3.6268604078470186,3.7621956910836314,1.0000000000000009\n"
 )
 
-GOLDEN_EULERSAVARY = (
-    "r,rp,dnu_ds,ap\n"
-    "2.0000000000283453,0.99999999997271982,0.50000000003436651,-29098096097.965958\n"
-)
+GOLDEN_EULERSAVARY = "r,rp,dnu_ds,ap\n2,1,0.5,2\n"
 
 
 @pytest.fixture
@@ -144,28 +142,27 @@ def test_golden_polecurves(m1_path, capsys):
     out = capsys.readouterr().out
     assert out == GOLDEN_POLECURVES
     for line in out.strip().splitlines()[1:]:
-        assert abs(float(line.split(",")[5]) - 1.0) <= 1e-6
+        assert abs(float(line.split(",")[5]) - 1.0) <= 1e-12
 
 
 def test_golden_eulersavary(m1_path, capsys):
     code = cli.main(
-        ["eulersavary", "--config", m1_path, "--t", "0", "--a", "2", "--alpha", "0"]
+        ["eulersavary", "--config", m1_path, "--t", "0", "--a", "1", "--alpha", "0"]
     )
     assert code == 0
     out = capsys.readouterr().out
     assert out == GOLDEN_EULERSAVARY
     r, rp, dnu_ds, ap = (float(v) for v in out.splitlines()[1].split(","))
-    assert abs(r - 2) <= 1e-6 and abs(rp - 1) <= 1e-6 and abs(dnu_ds - 0.5) <= 1e-6
-    # a = 2 sits at the inflection circle of this motion, so the conjugate
-    # distance blows up; the sign/size is machine noise but deterministic
-    assert abs(ap) > 1e6
+    assert abs(r - 2) <= 1e-12 and abs(rp - 1) <= 1e-12 and abs(dnu_ds - 0.5) <= 1e-12
+    # 1/a - 1/a' = h dnu/ds on the pole normal: a = 1 maps to a' = 2
+    assert abs(ap - 2) <= 1e-12
 
 
 def test_eulersavary_regular_ray(m1_path, capsys):
     code = cli.main(["eulersavary", "--config", m1_path, "--t", "0", "--a", "1", "--alpha", "0"])
     assert code == 0
     ap = float(capsys.readouterr().out.splitlines()[1].split(",")[3])
-    assert abs(ap - 2.0) <= 1e-6
+    assert abs(ap - 2.0) <= 1e-12
 
 
 def test_csv_deterministic(m1_path, capsys):
@@ -236,7 +233,7 @@ def test_invariants_subcommand(m1_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "t,sigma,sigma_m,tau,taup,r,rp,dnu_ds"
     vals = [float(v) for v in lines[1].split(",")]
-    assert abs(vals[5] - 2) <= 1e-6 and abs(vals[6] - 1) <= 1e-6 and abs(vals[7] - 0.5) <= 1e-6
+    assert abs(vals[5] - 2) <= 1e-12 and abs(vals[6] - 1) <= 1e-12 and abs(vals[7] - 0.5) <= 1e-12
 
 
 def test_oracle_subcommand(m1_path, capsys):
@@ -271,6 +268,14 @@ def test_exit_codes_for_usage_errors(m1_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("sub", ["eval", "decompose", "accel", "oracle"])
+def test_point_subcommands_refuse_without_point(sub, m1_path, capsys):
+    assert cli.main([sub, "--config", m1_path, "--t", "0"]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {sub} needs --point" in err
+    assert "Traceback" not in err
+
+
 def test_exit_codes_for_degeneracies(tmp_path, capsys):
     lightlike = write_config(
         tmp_path, "lightlike.json",
@@ -292,6 +297,11 @@ def test_exit_codes_for_degeneracies(tmp_path, capsys):
     assert cli.main(["oracle", "--config", m1, "--t", "0", "--point", "0,3"]) == 3
     err = capsys.readouterr().err
     assert "degenerate" in err
+    # a = 2 on the pole normal of M1 is the inflection circle: a' is infinite
+    assert cli.main(["eulersavary", "--config", m1, "--t", "0", "--a", "2", "--alpha", "0"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("degenerate:") and "at t=0" in captured.err
 
 
 def test_constant_scale_warning_on_stderr(m1_path, capsys):

@@ -41,19 +41,19 @@ def dist(a, b):
 
 def test_m1_invariants_at_origin():
     inv = canonical_invariants(M1, 0.0)
-    assert abs(inv.r - 2.0) <= 1e-6
-    assert abs(inv.rp - 1.0) <= 1e-6
-    assert abs(inv.dnu_ds - 0.5) <= 1e-6
-    assert abs(inv.sigma_rate - 2.0) <= 1e-6
-    assert abs(inv.sigma_rate_moving - 2.0) <= 1e-6
+    assert abs(inv.r - 2.0) <= 1e-12
+    assert abs(inv.rp - 1.0) <= 1e-12
+    assert abs(inv.dnu_ds - 0.5) <= 1e-12
+    assert abs(inv.sigma_rate - 2.0) <= 1e-12
+    assert abs(inv.sigma_rate_moving - 2.0) <= 1e-12
 
 
 def test_m1_invariants_constant_along_motion():
     for t in (-0.8, -0.3, 0.5, 0.8):
         inv = canonical_invariants(M1, t)
-        assert abs(inv.r - 2.0) <= 1e-6
-        assert abs(inv.rp - 1.0) <= 1e-6
-        assert abs(inv.dnu_ds - 0.5) <= 1e-6
+        assert abs(inv.r - 2.0) <= 1e-12
+        assert abs(inv.rp - 1.0) <= 1e-12
+        assert abs(inv.dnu_ds - 0.5) <= 1e-12
 
 
 def test_invariants_internal_consistency():
@@ -63,7 +63,7 @@ def test_invariants_internal_consistency():
         for t in (-0.5, 0.0, 0.6):
             inv = canonical_invariants(motion, t)
             alt = (inv.taup_rate - inv.tau_rate) / inv.sigma_rate
-            assert abs(inv.dnu_ds - alt) <= 1e-9
+            assert abs(inv.dnu_ds - alt) <= 1e-12
 
 
 def test_invariants_reject_stationary_pole():
@@ -191,7 +191,7 @@ def test_oracle_on_lorentzian_circle():
 def test_oracle_matches_conjugate_prediction_on_m1():
     predicted = predicted_curvature_center(M1, 0.0, ZERO)
     observed = curvature_center_oracle(M1, ZERO, 0.0, 1e-4)
-    assert close(predicted, HypNumber(0, 1 / 3), 1e-6)
+    assert close(predicted, HypNumber(0, 1 / 3), 1e-12)
     assert close(predicted, observed, 1e-3)
 
 
@@ -243,16 +243,16 @@ def test_branch_invariance_under_j_swap():
         for x in arbitration_points(M1, t):
             original = predicted_curvature_center(M1, t, x)
             swapped = predicted_curvature_center(M1_SWAP, t, jmul(x))
-            assert dist(swapped, jmul(original)) <= 1e-9
+            assert dist(swapped, jmul(original)) <= 1e-12
 
 
 def test_branch_invariance_of_invariants():
     for t in (0.0, 0.4, -0.6):
         a = canonical_invariants(M1, t)
         b = canonical_invariants(M1_SWAP, t)
-        assert abs(a.r - b.r) <= 1e-9
-        assert abs(a.rp - b.rp) <= 1e-9
-        assert abs(a.dnu_ds - b.dnu_ds) <= 1e-9
+        assert abs(a.r - b.r) <= 1e-12
+        assert abs(a.rp - b.rp) <= 1e-12
+        assert abs(a.dnu_ds - b.dnu_ds) <= 1e-12
 
 
 def test_euler_savary_residual_closes_the_loop():

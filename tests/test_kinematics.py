@@ -273,8 +273,8 @@ def test_m1_pole_curves_closed_form():
         pf = HypNumber(math.sinh(2 * s.t), math.cosh(2 * s.t))
         assert close(s.p_moving, pm, 1e-12)
         assert close(s.p_fixed, pf, 1e-12)
-        assert abs(arc_rate_moving(s) - 2) <= 1e-9
-        assert abs(arc_rate_fixed(s) - 2) <= 1e-9
+        assert abs(arc_rate_moving(s) - 2) <= 1e-12
+        assert abs(arc_rate_fixed(s) - 2) <= 1e-12
 
 
 def test_rolling_identity_and_arc_ratio():
@@ -284,13 +284,13 @@ def test_rolling_identity_and_arc_ratio():
             residual = s.pd_fixed - (s.pd_moving * st.h) * st.rot
             assert max(abs(residual.x), abs(residual.y)) <= 1e-9
             ratio = arc_rate_fixed(s) / arc_rate_moving(s)
-            assert abs(ratio - abs(st.h)) <= 1e-6 * abs(st.h)
+            assert abs(ratio - abs(st.h)) <= 1e-12 * abs(st.h)
 
 
 def test_unit_scale_rolls_without_sliding():
     for m in UNIT_SCALE:
         for s in pole_curves(m, m.interval[0] + 0.05, m.interval[1] - 0.05, 9):
-            assert abs(arc_rate_fixed(s) / arc_rate_moving(s) - 1) <= 1e-6
+            assert abs(arc_rate_fixed(s) / arc_rate_moving(s) - 1) <= 1e-12
 
 
 def test_integrated_arc_lengths_scale_by_h():
@@ -387,7 +387,7 @@ def test_acceleration_pole_across_corpus():
             st = state(m, t)
             q = acceleration_pole(st)
             bf = acceleration_decompose(st, q, ZERO, ZERO).bf
-            assert max(abs(bf.x), abs(bf.y)) <= 1e-9
+            assert max(abs(bf.x), abs(bf.y)) <= 1e-12
 
 
 def test_acceleration_pole_special_case():

@@ -58,21 +58,22 @@ def test_hyp_jet_componentwise():
         ScalarPath((sinh_term(1, 1),)),
         ScalarPath((cosh_term(1, 1), poly_term(-1, 0))),
     )
-    v, d1, d2 = eval_hyp_jet(u, 0.0)
+    v, d1, d2, d3 = eval_hyp_jet(u, 0.0)
     assert v == HypNumber(0, 0)
     assert d1 == HypNumber(1, 0)
     assert d2 == HypNumber(0, 1)
+    assert d3 == HypNumber(1, 0)
 
 
 def test_hyp_jet_constant_and_linear():
     const = HypPath.constant(HypNumber(2.5, -1.0))
-    v, d1, d2 = eval_hyp_jet(const, 17.0)
+    v, d1, d2, d3 = eval_hyp_jet(const, 17.0)
     assert v == HypNumber(2.5, -1.0)
-    assert d1 == HypNumber(0, 0) and d2 == HypNumber(0, 0)
+    assert d1 == HypNumber(0, 0) and d2 == HypNumber(0, 0) and d3 == HypNumber(0, 0)
     lin = HypPath(ScalarPath.polynomial(0, 1), ScalarPath.constant(0))
-    v, d1, d2 = eval_hyp_jet(lin, 3.0)
+    v, d1, d2, d3 = eval_hyp_jet(lin, 3.0)
     assert v == HypNumber(3, 0)
-    assert d1 == HypNumber(1, 0) and d2 == HypNumber(0, 0)
+    assert d1 == HypNumber(1, 0) and d2 == HypNumber(0, 0) and d3 == HypNumber(0, 0)
 
 
 def test_fd_jet_examples():
@@ -82,6 +83,7 @@ def test_fd_jet_examples():
     assert abs(fd_jet(sh, 0.0, 1e-5).d1 - 1.0) <= 1e-9
     ch = ScalarPath((cosh_term(1, 1),))
     assert abs(fd_jet(ch, 0.0, 1e-4).d2 - 1.0) <= 1e-6
+    assert abs(fd_jet(sh, 0.0, 1e-3).d3 - 1.0) <= 1e-6
 
 
 def test_fd_jet_requires_positive_eps():
@@ -103,8 +105,10 @@ def test_jets_match_finite_differences_on_grid():
             jet = eval_jet(path, t)
             fd1 = fd_jet(path, t, 1e-5)
             fd2 = fd_jet(path, t, 1e-4)
+            fd3 = fd_jet(path, t, 1e-3)
             assert abs(jet.d1 - fd1.d1) <= 1e-6 * (1 + abs(jet.d1))
             assert abs(jet.d2 - fd2.d2) <= 1e-4 * (1 + abs(jet.d2))
+            assert abs(jet.d3 - fd3.d3) <= 1e-4 * (1 + abs(jet.d3))
 
 
 def test_linearity_exact_on_dyadic_terms():
@@ -118,6 +122,7 @@ def test_linearity_exact_on_dyadic_terms():
         assert whole.v == ja.v + jb.v
         assert whole.d1 == ja.d1 + jb.d1
         assert whole.d2 == ja.d2 + jb.d2
+        assert whole.d3 == ja.d3 + jb.d3
 
 
 def test_linearity_generic_terms():
@@ -130,6 +135,7 @@ def test_linearity_generic_terms():
         assert abs(whole.v - (ja.v + jb.v)) <= 1e-15 * (1 + abs(whole.v))
         assert abs(whole.d1 - (ja.d1 + jb.d1)) <= 1e-15 * (1 + abs(whole.d1))
         assert abs(whole.d2 - (ja.d2 + jb.d2)) <= 1e-15 * (1 + abs(whole.d2))
+        assert abs(whole.d3 - (ja.d3 + jb.d3)) <= 1e-15 * (1 + abs(whole.d3))
 
 
 def test_basis_term_validation():
