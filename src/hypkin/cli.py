@@ -1,14 +1,17 @@
 """Command-line front end.
 
 Motions are described by a small JSON config (basis terms for h, phi and the
-two components of u, plus a time interval); subcommands evaluate the
-kinematic quantities at an instant or over a grid and write CSV tables or an
-SVG sketch of the curves.
+two components of u, plus a time interval).  Each CSV subcommand is one entry
+of a table: its columns, the instants it takes, whether it needs --point, and
+a function that computes one row at one instant; one loop evaluates it at
+every instant.  `plot` reuses that loop for an SVG sketch of the pole curves,
+and `hypkin --help` lists every subcommand's columns from the same table.
 
 Exit codes: 0 success, 2 config or usage error, 3 mathematical degeneracy
 (lightlike denominator, vanishing angular velocity, stationary pole,
-parallel normals, conjugate point at infinity), with the offending instant
-named on stderr.
+parallel normals, conjugate point at infinity, floating-point overflow),
+with the offending instant named on stderr.  Instants outside the config
+interval are evaluated, with one warning on stderr.
 """
 
 from __future__ import annotations
@@ -18,32 +21,33 @@ import hashlib
 import json
 import sys
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .eulersavary import (
     ConjugateInput,
-    ParallelNormals,
     canonical_invariants,
     conjugate_point,
     curvature_center_oracle,
 )
-from .hypernum import Branch, HypNumber, LightlikeError, ZERO, exp_j, jmul, polar
+from .hypernum import Branch, HypNumber, LightlikeError, ZERO, _fmt, exp_j, jmul, polar
 from .kinematics import (
     DegenerateError,
-    DegeneratePoleCurve,
     HomotheticMotion,
+    _uniform_grid,
     acceleration_decompose,
     acceleration_pole,
+    arc_rate_fixed,
+    arc_rate_moving,
     map_point,
-    pole_curves,
     pole_point,
+    pole_sample,
     state,
     velocity_decompose,
 )
 from .paths import BasisTerm, HypPath, ScalarPath, TermKind
 
-MATH_ERRORS = (LightlikeError, DegenerateError, DegeneratePoleCurve, ParallelNormals)
-
 _KINDS = {k.value: k for k in TermKind}
+_PATHS = ("h", "phi", "u_x", "u_y")  # the term-list fields of a config
 
 
 class ConfigError(ValueError):
@@ -117,10 +121,10 @@ def parse_config(text) -> MotionConfig:
         raise ConfigError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
-    unknown = set(raw) - {"h", "phi", "u_x", "u_y", "interval"}
+    unknown = set(raw) - {*_PATHS, "interval"}
     if unknown:
         raise ConfigError(f"unknown keys {sorted(unknown)}")
-    for key in ("h", "phi", "u_x", "u_y", "interval"):
+    for key in (*_PATHS, "interval"):
         if key not in raw:
             raise ConfigError(f"missing '{key}'")
     interval = raw["interval"]
@@ -130,30 +134,16 @@ def parse_config(text) -> MotionConfig:
     t1 = _require_number(interval[1], "interval[1]")
     if not t0 < t1:
         raise ConfigError("interval: t0 must be below t1")
-    return MotionConfig(
-        h=_parse_terms(raw["h"], "h"),
-        phi=_parse_terms(raw["phi"], "phi"),
-        u_x=_parse_terms(raw["u_x"], "u_x"),
-        u_y=_parse_terms(raw["u_y"], "u_y"),
-        interval=(t0, t1),
-    )
+    return MotionConfig(**{key: _parse_terms(raw[key], key) for key in _PATHS}, interval=(t0, t1))
 
 
 def serialize_config(cfg: MotionConfig) -> bytes:
     """Inverse of parse_config: parse_config(serialize_config(cfg)) == cfg."""
-
-    def terms(ts):
-        return [{"kind": t.kind.value, "coeff": t.coeff, "param": t.param} for t in ts]
-
-    return json.dumps(
-        {
-            "h": terms(cfg.h),
-            "phi": terms(cfg.phi),
-            "u_x": terms(cfg.u_x),
-            "u_y": terms(cfg.u_y),
-            "interval": list(cfg.interval),
-        }
-    ).encode("utf-8")
+    raw = {
+        key: [{"kind": t.kind.value, "coeff": t.coeff, "param": t.param} for t in getattr(cfg, key)]
+        for key in _PATHS
+    }
+    return json.dumps({**raw, "interval": list(cfg.interval)}).encode("utf-8")
 
 
 def motion_from_config(cfg: MotionConfig) -> HomotheticMotion:
@@ -168,13 +158,9 @@ def motion_from_config(cfg: MotionConfig) -> HomotheticMotion:
         motion.validate()
     except DegenerateError as exc:
         raise ValidationError(str(exc)) from exc
+    except OverflowError as exc:
+        raise ValidationError(f"phi overflows on the interval {list(cfg.interval)}") from exc
     return motion
-
-
-def _fmt(v: float) -> str:
-    if v == 0.0:
-        v = 0.0  # normalize -0.0 so CSV output is sign-stable
-    return f"{v:.17g}"
 
 
 def format_csv(header, rows) -> str:
@@ -231,16 +217,12 @@ def render_svg(samples, width: int = 640, height: int = 480) -> bytes:
     # isotropic lines y = x and y = -x, dashed
     lo = min(xmin, ymin, -xmax, -ymax)
     hi = max(xmax, ymax, -xmin, -ymin)
-    out.append(
-        f'<line x1="{to_px(lo, lo)[0]:.3f}" y1="{to_px(lo, lo)[1]:.3f}" '
-        f'x2="{to_px(hi, hi)[0]:.3f}" y2="{to_px(hi, hi)[1]:.3f}" '
-        f'stroke="#bbb" stroke-width="1" stroke-dasharray="6 4"/>'
-    )
-    out.append(
-        f'<line x1="{to_px(lo, -lo)[0]:.3f}" y1="{to_px(lo, -lo)[1]:.3f}" '
-        f'x2="{to_px(hi, -hi)[0]:.3f}" y2="{to_px(hi, -hi)[1]:.3f}" '
-        f'stroke="#bbb" stroke-width="1" stroke-dasharray="6 4"/>'
-    )
+    for s in (1.0, -1.0):
+        (ax, ay), (bx, by) = to_px(lo, s * lo), to_px(hi, s * hi)
+        out.append(
+            f'<line x1="{ax:.3f}" y1="{ay:.3f}" x2="{bx:.3f}" y2="{by:.3f}" '
+            f'stroke="#bbb" stroke-width="1" stroke-dasharray="6 4"/>'
+        )
     for i, (label, points) in enumerate(samples):
         color = palette[i % len(palette)]
         pts = " ".join(fmt_pt(x, y) for x, y in points)
@@ -253,233 +235,190 @@ def render_svg(samples, width: int = 640, height: int = 480) -> bytes:
 
 
 # ----------------------------------------------------------------------------
-# subcommands
+# subcommands: one table, one loop over instants
 
 
-def _parse_point(args) -> HypNumber:
-    text = args.point
-    if text is None:
-        raise ConfigError(f"{args.command} needs --point")
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ConfigError(f"--point: expected X,Y, got {text!r}")
-    try:
-        return HypNumber(float(parts[0]), float(parts[1]))
-    except ValueError as exc:
-        raise ConfigError(f"--point: {exc}") from exc
+def _xy(*zs: HypNumber) -> tuple[float, ...]:
+    return tuple(c for z in zs for c in (z.x, z.y))
 
 
-def _times(args) -> list[float]:
-    if args.t is not None:
-        return [args.t]
-    if args.t0 is not None and args.t1 is not None and args.n is not None:
-        if args.n < 2:
-            raise ConfigError("--n must be at least 2")
-        return [args.t0 + (args.t1 - args.t0) * i / (args.n - 1) for i in range(args.n)]
-    raise ConfigError("provide --t or all of --t0 --t1 --n")
+def _decompose_row(motion, t, x, args):
+    d = velocity_decompose(state(motion, t), x, ZERO)
+    return (t, *_xy(d.vr, d.vf, d.va))
 
 
-def _cmd_eval(motion, args):
-    x = _parse_point(args)
-    rows = []
-    for t in _times(args):
-        xp = map_point(state(motion, t), x)
-        rows.append((t, xp.x, xp.y))
-    return ("t", "xpx", "xpy"), rows
+def _polecurves_row(motion, t, x, args):
+    s = pole_sample(motion, t)
+    return (t, *_xy(s.p_moving, s.p_fixed), arc_rate_fixed(s) / arc_rate_moving(s))
 
 
-def _cmd_decompose(motion, args):
-    x = _parse_point(args)
-    rows = []
-    for t in _times(args):
-        d = velocity_decompose(state(motion, t), x, ZERO)
-        rows.append((t, d.vr.x, d.vr.y, d.vf.x, d.vf.y, d.va.x, d.va.y))
-    return ("t", "vrx", "vry", "vfx", "vfy", "vax", "vay"), rows
+def _accel_row(motion, t, x, args):
+    d = acceleration_decompose(state(motion, t), x, ZERO, ZERO)
+    return (t, *_xy(d.br, d.bc, d.bf, d.ba))
 
 
-def _cmd_pole(motion, args):
-    rows = []
-    for t in _times(args):
-        p = pole_point(state(motion, t))
-        rows.append((t, p.x, p.y))
-    return ("t", "px", "py"), rows
+def _invariants_row(motion, t, x, args):
+    i = canonical_invariants(motion, t)
+    return (t, i.sigma_rate, i.sigma_rate_moving, i.tau_rate, i.taup_rate, i.r, i.rp, i.dnu_ds)
 
 
-def _cmd_polecurves(motion, args):
-    if args.t0 is None or args.t1 is None or args.n is None:
-        raise ConfigError("polecurves needs --t0 --t1 --n")
-    if args.n < 2:
-        raise ConfigError("--n must be at least 2")
-    rows = []
-    for s in pole_curves(motion, args.t0, args.t1, args.n):
-        ratio = _arc_ratio(s)
-        rows.append((s.t, s.p_moving.x, s.p_moving.y, s.p_fixed.x, s.p_fixed.y, ratio))
-    return ("t", "pmx", "pmy", "pfx", "pfy", "arc_ratio"), rows
-
-
-def _arc_ratio(sample):
-    from .kinematics import arc_rate_fixed, arc_rate_moving
-
-    return arc_rate_fixed(sample) / arc_rate_moving(sample)
-
-
-def _cmd_accel(motion, args):
-    x = _parse_point(args)
-    rows = []
-    for t in _times(args):
-        d = acceleration_decompose(state(motion, t), x, ZERO, ZERO)
-        rows.append(
-            (t, d.br.x, d.br.y, d.bc.x, d.bc.y, d.bf.x, d.bf.y, d.ba.x, d.ba.y)
-        )
-    return ("t", "brx", "bry", "bcx", "bcy", "bfx", "bfy", "bax", "bay"), rows
-
-
-def _cmd_accelpole(motion, args):
-    rows = []
-    for t in _times(args):
-        q = acceleration_pole(state(motion, t))
-        rows.append((t, q.x, q.y))
-    return ("t", "qx", "qy"), rows
-
-
-def _cmd_invariants(motion, args):
-    rows = []
-    for t in _times(args):
-        inv = canonical_invariants(motion, t)
-        rows.append(
-            (t, inv.sigma_rate, inv.sigma_rate_moving, inv.tau_rate, inv.taup_rate,
-             inv.r, inv.rp, inv.dnu_ds)
-        )
-    return ("t", "sigma", "sigma_m", "tau", "taup", "r", "rp", "dnu_ds"), rows
-
-
-def _signed_polar_magnitude(z: HypNumber) -> float:
-    pf = polar(z)
-    if pf.branch in (Branch.HIII, Branch.HIV):
-        return -pf.r
-    return pf.r
-
-
-def _cmd_eulersavary(motion, args):
-    if args.t is None:
-        raise ConfigError("eulersavary needs --t")
+def _eulersavary_row(motion, t, x, args):
     if args.a is None or args.alpha is None:
         raise ConfigError("eulersavary needs --a and --alpha")
     if args.a == 0.0:
         raise ConfigError("--a must be nonzero")
-    t = args.t
     inv = canonical_invariants(motion, t)
     st = state(motion, t)
     ray = jmul(exp_j(args.alpha)) * args.a  # a j e^{j alpha} in the canonical frame
+    sigma = inv.sigma_rate
     try:
-        conj = conjugate_point(
-            ConjugateInput(x=ray, h=st.h, sigma=inv.sigma_rate, dnu=inv.sigma_rate * inv.dnu_ds)
-        )
+        conj = conjugate_point(ConjugateInput(x=ray, h=st.h, sigma=sigma, dnu=sigma * inv.dnu_ds))
     except LightlikeError as exc:
         raise LightlikeError(f"conjugate point at infinity (inflection circle) at t={t:g}") from exc
-    ap = _signed_polar_magnitude(conj)
-    return ("r", "rp", "dnu_ds", "ap"), [(inv.r, inv.rp, inv.dnu_ds, ap)]
+    pf = polar(conj)
+    ap = -pf.r if pf.branch in (Branch.HIII, Branch.HIV) else pf.r  # left/lower branch: negative
+    return (inv.r, inv.rp, inv.dnu_ds, ap)
 
 
-def _cmd_oracle(motion, args):
-    x = _parse_point(args)
+class _Command(NamedTuple):
+    columns: str  # the CSV header line
+    times: str  # instants taken: "any" (--t or a grid), "grid" or "t"
+    point: bool  # needs --point
+    row: Callable  # (motion, t, x, args) -> one CSV row
+    help: str
+
+
+_COMMANDS = {
+    "eval": _Command(
+        "t,xpx,xpy", "any", True, lambda m, t, x, args: (t, *_xy(map_point(state(m, t), x))),
+        "fixed-plane image of --point"),
+    "decompose": _Command(
+        "t,vrx,vry,vfx,vfy,vax,vay", "any", True, _decompose_row,
+        "velocity split of --point held fixed on the moving plane"),
+    "pole": _Command(
+        "t,px,py", "any", False, lambda m, t, x, args: (t, *_xy(pole_point(state(m, t)))),
+        "rotation pole in the moving plane"),
+    "polecurves": _Command(
+        "t,pmx,pmy,pfx,pfy,arc_ratio", "grid", False, _polecurves_row,
+        "both pole curves and the arc-rate ratio ds'/ds"),
+    "accel": _Command(
+        "t,brx,bry,bcx,bcy,bfx,bfy,bax,bay", "any", True, _accel_row,
+        "acceleration split of --point held fixed"),
+    "accelpole": _Command(
+        "t,qx,qy", "any", False, lambda m, t, x, args: (t, *_xy(acceleration_pole(state(m, t)))),
+        "acceleration pole in the moving plane"),
+    "invariants": _Command(
+        "t,sigma,sigma_m,tau,taup,r,rp,dnu_ds", "any", False, _invariants_row,
+        "canonical-frame rates and curvature radii"),
+    "eulersavary": _Command(
+        "r,rp,dnu_ds,ap", "t", False, _eulersavary_row,
+        "curvature radii plus the conjugate distance for --a/--alpha"),
+    "oracle": _Command(
+        "t,cx,cy", "any", True,
+        lambda m, t, x, args: (t, *_xy(curvature_center_oracle(m, x, t, args.eps))),
+        "normal-intersection curvature center of --point's trajectory"),
+}
+
+_ONLY = {"any": "", "grid": " (grid only)", "t": " (--t only)"}
+
+
+def _parse_point(args) -> HypNumber:
+    if args.point is None:
+        raise ConfigError(f"{args.command} needs --point")
+    try:
+        x, y = (float(c) for c in args.point.split(","))
+        return HypNumber(x, y)
+    except ValueError as exc:
+        raise ConfigError(f"--point: expected X,Y, got {args.point!r}") from exc
+
+
+def _times(args, mode: str) -> list[float]:
+    """The instants of a call: --t, or the uniform --t0 --t1 --n grid.  Mode
+    "t" or "grid" accepts only that kind; "any" takes either, --t first."""
+    if args.t is not None and mode != "grid":
+        return [args.t]
+    if None not in (args.t0, args.t1, args.n) and mode != "t":
+        if args.n < 2:
+            raise ConfigError("--n must be at least 2")
+        return _uniform_grid(args.t0, args.t1, args.n)
+    if mode == "any":
+        raise ConfigError("provide --t or all of --t0 --t1 --n")
+    raise ConfigError(f"{args.command} needs " + ("--t" if mode == "t" else "--t0 --t1 --n"))
+
+
+def _rows(row, motion, times, x, args) -> list:
+    """row(motion, t, x, args) at every instant; a floating-point overflow or
+    division by zero there is a degeneracy of that instant."""
     rows = []
-    for t in _times(args):
-        c = curvature_center_oracle(motion, x, t, args.eps)
-        rows.append((t, c.x, c.y))
-    return ("t", "cx", "cy"), rows
+    for t in times:
+        try:
+            rows.append(row(motion, t, x, args))
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise ArithmeticError(f"{exc} at t={t:g}") from exc
+    return rows
 
 
-def _cmd_plot(motion, args):
-    if args.t0 is None or args.t1 is None or args.n is None:
-        raise ConfigError("plot needs --t0 --t1 --n")
-    if args.n < 2:
-        raise ConfigError("--n must be at least 2")
-    samples = pole_curves(motion, args.t0, args.t1, args.n)
+def _plot(motion, times, args) -> bytes:
+    samples = _rows(lambda m, t, x, a: pole_sample(m, t), motion, times, None, args)
     sequences = [
         ("moving pole curve (P)", [(s.p_moving.x, s.p_moving.y) for s in samples]),
         ("fixed pole curve (P')", [(s.p_fixed.x, s.p_fixed.y) for s in samples]),
     ]
     if args.point is not None:
-        x = _parse_point(args)
-        traj = []
-        for i in range(args.n):
-            t = args.t0 + (args.t1 - args.t0) * i / (args.n - 1)
-            xp = map_point(state(motion, t), x)
-            traj.append((xp.x, xp.y))
-        sequences.append((f"trajectory of {args.point}", traj))
+        trajectory = _rows(_COMMANDS["eval"].row, motion, times, _parse_point(args), args)
+        sequences.append((f"trajectory of {args.point}", [row[1:] for row in trajectory]))
     return render_svg(sequences)
 
 
-_COLUMN_DOC = {
-    "eval": "t,xpx,xpy: fixed-plane image of --point",
-    "decompose": "t,vrx,vry,vfx,vfy,vax,vay: velocity split of --point held fixed on the moving plane",
-    "pole": "t,px,py: rotation pole in the moving plane",
-    "polecurves": "t,pmx,pmy,pfx,pfy,arc_ratio: both pole curves and the arc-rate ratio ds'/ds",
-    "accel": "t,brx,bry,bcx,bcy,bfx,bfy,bax,bay: acceleration split of --point held fixed",
-    "accelpole": "t,qx,qy: acceleration pole in the moving plane",
-    "invariants": "t,sigma,sigma_m,tau,taup,r,rp,dnu_ds: canonical-frame rates and curvature radii",
-    "eulersavary": "r,rp,dnu_ds,ap: curvature radii plus the conjugate distance for --a/--alpha",
-    "oracle": "t,cx,cy: normal-intersection curvature center of --point's trajectory",
-}
-
-_HANDLERS = {
-    "eval": _cmd_eval,
-    "decompose": _cmd_decompose,
-    "pole": _cmd_pole,
-    "polecurves": _cmd_polecurves,
-    "accel": _cmd_accel,
-    "accelpole": _cmd_accelpole,
-    "invariants": _cmd_invariants,
-    "eulersavary": _cmd_eulersavary,
-    "oracle": _cmd_oracle,
-}
-
-
 def _build_parser() -> argparse.ArgumentParser:
+    listing = [f"{n:<13}{c.columns}: {c.help}{_ONLY[c.times]}" for n, c in _COMMANDS.items()]
+    listing.append(f"{'plot':<13}SVG of the pole curves and of --point's trajectory (grid only)")
     parser = argparse.ArgumentParser(
         prog="hypkin",
         description="Kinematics of homothetic motions of the hyperbolic plane.",
+        epilog="commands and their CSV columns:\n  " + "\n  ".join(listing),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in [*_HANDLERS, "plot"]:
-        p = sub.add_parser(name, help=_COLUMN_DOC.get(name, "SVG sketch of the pole curves"))
-        p.add_argument("--config", required=True, help="motion config JSON path")
-        p.add_argument("--t", type=float, default=None, help="single evaluation time")
-        p.add_argument("--t0", type=float, default=None, help="grid start")
-        p.add_argument("--t1", type=float, default=None, help="grid end")
-        p.add_argument("--n", type=int, default=None, help="grid size")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--point", default=None, help="moving-plane point X,Y")
-        p.add_argument("--a", type=float, default=None, help="pole distance of the moving point")
-        p.add_argument("--alpha", type=float, default=None, help="pole-ray angle")
-        p.add_argument("--eps", type=float, default=1e-4, help="oracle step (default 1e-4)")
-        if name in _COLUMN_DOC:
-            p.description = "CSV columns: " + _COLUMN_DOC[name]
+    parser.add_argument(
+        "command", choices=[*_COMMANDS, "plot"], metavar="command", help="see below"
+    )
+    parser.add_argument("--config", required=True, help="motion config JSON path")
+    parser.add_argument("--t", type=float, default=None, help="single evaluation time")
+    parser.add_argument("--t0", type=float, default=None, help="grid start")
+    parser.add_argument("--t1", type=float, default=None, help="grid end")
+    parser.add_argument("--n", type=int, default=None, help="grid size")
+    parser.add_argument("--out", default=None, help="output path (default stdout)")
+    parser.add_argument("--point", default=None, help="moving-plane point X,Y")
+    parser.add_argument("--a", type=float, default=None, help="pole distance of the moving point")
+    parser.add_argument("--alpha", type=float, default=None, help="pole-ray angle")
+    parser.add_argument("--eps", type=float, default=1e-4, help="oracle step (default 1e-4)")
     return parser
 
 
-def _load(args):
+def _load(args) -> tuple[HomotheticMotion, str, list[str]]:
+    """The motion, the digest of the config bytes and the config's warnings."""
     try:
         with open(args.config, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    cfg = parse_config(raw)
-    motion = motion_from_config(cfg)
-    digest = hashlib.sha256(raw).hexdigest()
-    return motion, digest
+    motion = motion_from_config(parse_config(raw))
+    try:
+        homothetic = motion.is_homothetic()
+    except OverflowError as exc:
+        raise ValidationError(f"h overflows on the interval {list(motion.interval)}") from exc
+    warnings = [] if homothetic else ["homothetic: false (constant scale h)"]
+    return motion, hashlib.sha256(raw).hexdigest(), warnings
 
 
-def _write_text(args, text: str) -> None:
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+def _outside(motion, times) -> list[str]:
+    t0, t1 = motion.interval
+    out = [t for t in times if not t0 <= t <= t1]
+    more = f" and {len(out) - 1} more" if len(out) > 1 else ""
+    return [f"t={out[0]:g}{more} outside the config interval [{t0:g}, {t1:g}]"] if out else []
 
 
-def _write_bytes(args, blob: bytes) -> None:
+def _write(args, blob: bytes) -> None:
     if args.out is None:
         sys.stdout.write(blob.decode("utf-8"))
     else:
@@ -488,25 +427,25 @@ def _write_bytes(args, blob: bytes) -> None:
 
 
 def run(argv) -> RunReport:
-    """Parse, dispatch and write output; returns the report for the caller."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    motion, digest = _load(args)
-    warnings = []
-    if not motion.is_homothetic():
-        warnings.append("homothetic: false (constant scale h)")
-    echo = "hypkin " + " ".join(argv)
+    """Parse, evaluate and write output; returns the report for the caller."""
+    args = _build_parser().parse_args(argv)
+    motion, digest, warnings = _load(args)
     if args.command == "plot":
-        blob = _cmd_plot(motion, args)
-        _write_bytes(args, blob)
-        report = RunReport(echo, digest, (), (), tuple(warnings))
+        times = _times(args, "grid")
+        header, rows = (), []
+        blob = _plot(motion, times, args)
     else:
-        header, rows = _HANDLERS[args.command](motion, args)
-        _write_text(args, format_csv(header, rows))
-        report = RunReport(echo, digest, tuple(header), tuple(tuple(r) for r in rows), tuple(warnings))
-    for w in report.warnings:
+        cmd = _COMMANDS[args.command]
+        x = _parse_point(args) if cmd.point else None
+        times = _times(args, cmd.times)
+        header = tuple(cmd.columns.split(","))
+        rows = _rows(cmd.row, motion, times, x, args)
+        blob = format_csv(header, rows).encode("utf-8")
+    _write(args, blob)
+    warnings += _outside(motion, times)
+    for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
-    return report
+    return RunReport("hypkin " + " ".join(argv), digest, header, tuple(rows), tuple(warnings))
 
 
 def main(argv=None) -> int:
@@ -515,10 +454,10 @@ def main(argv=None) -> int:
         run(argv)
     except SystemExit as exc:  # argparse usage errors / --help
         return int(exc.code or 0)
-    except (ConfigError, ValidationError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError and ValidationError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except MATH_ERRORS as exc:
+    except ArithmeticError as exc:  # LightlikeError, DegenerateError and the other degeneracies
         print(f"degenerate: {exc}", file=sys.stderr)
         return 3
     return 0

@@ -29,6 +29,11 @@ from .paths import HypPath, ScalarPath, eval_hyp_jet, eval_jet
 PHID_FLOOR = 1e-12
 
 
+def _uniform_grid(t0: float, t1: float, n: int) -> list[float]:
+    """n uniform instants from t0 to t1, both included."""
+    return [t0 + (t1 - t0) * i / (n - 1) for i in range(n)]
+
+
 class DegenerateError(ArithmeticError):
     """The motion stops rotating (phi' = 0): no instantaneous kinematics."""
 
@@ -48,19 +53,13 @@ class HomotheticMotion:
 
     def validate(self, samples: int = 101) -> None:
         """Check phi' != 0 on a uniform grid over the declared interval."""
-        t0, t1 = self.interval
-        for i in range(samples):
-            t = t0 + (t1 - t0) * i / (samples - 1)
+        for t in _uniform_grid(*self.interval, samples):
             if abs(eval_jet(self.phi, t).d1) < PHID_FLOOR:
                 raise DegenerateError(f"angular velocity vanishes at t={t:g}")
 
     def is_homothetic(self, samples: int = 101) -> bool:
         """False when the scale h is constant over the interval (plain motion)."""
-        t0, t1 = self.interval
-        return any(
-            abs(eval_jet(self.h, t0 + (t1 - t0) * i / (samples - 1)).d1) > 1e-15
-            for i in range(samples)
-        )
+        return any(abs(eval_jet(self.h, t).d1) > 1e-15 for t in _uniform_grid(*self.interval, samples))
 
 
 @dataclass(frozen=True)
@@ -237,7 +236,7 @@ def pole_curves(motion: HomotheticMotion, t0: float, t1: float, n: int) -> list[
     """Sample both pole curves on n uniform instants of [t0, t1]."""
     if n < 2:
         raise ValueError("need at least two samples")
-    return [pole_sample(motion, t0 + (t1 - t0) * i / (n - 1)) for i in range(n)]
+    return [pole_sample(motion, t) for t in _uniform_grid(t0, t1, n)]
 
 
 def arc_rate_moving(sample: PoleSample) -> float:

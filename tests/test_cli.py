@@ -304,6 +304,112 @@ def test_exit_codes_for_degeneracies(tmp_path, capsys):
     assert captured.err.startswith("degenerate:") and "at t=0" in captured.err
 
 
+POINT_SUBS = {"eval", "decompose", "accel", "oracle"}
+ALL_SUBS = ["eval", "decompose", "pole", "polecurves", "accel", "accelpole", "invariants",
+            "eulersavary", "oracle", "plot"]
+
+
+def usage_cases():
+    """(subcommand, evaluation flags) pairs that every CLI must refuse with exit 2."""
+    def extra(sub):
+        if sub in POINT_SUBS:
+            return ["--point", "0.5,0.5"]
+        return ["--a", "1", "--alpha", "0"] if sub == "eulersavary" else []
+
+    grid = ["--t0", "-0.5", "--t1", "0.5"]
+    cases = [(sub, extra(sub)) for sub in ALL_SUBS]  # no instant at all
+    cases += [(sub, grid + ["--n", "1"] + extra(sub)) for sub in ALL_SUBS if sub != "eulersavary"]
+    cases += [
+        ("polecurves", ["--t", "0"]),
+        ("plot", ["--t", "0"]),
+        ("eulersavary", grid + ["--n", "3", "--a", "1", "--alpha", "0"]),
+        ("eulersavary", ["--t", "0", "--alpha", "0"]),
+    ]
+    return cases
+
+
+@pytest.mark.parametrize("sub,flags", usage_cases(), ids=lambda v: v if isinstance(v, str) else " ".join(v))
+def test_usage_errors_exit_2(sub, flags, m1_path, tmp_path, capsys):
+    assert cli.main([sub, "--config", m1_path, "--out", str(tmp_path / "out"), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(("error:", "usage:"))
+    assert "Traceback" not in captured.err
+    assert captured.out == "" and not (tmp_path / "out").exists()
+
+
+def test_overflow_at_an_instant_is_degenerate(tmp_path, m1_path, capsys):
+    fast = write_config(tmp_path, "fast.json", h=[{"kind": "exp", "coeff": 1, "param": 800}])
+    assert cli.main(["pole", "--config", fast, "--t", "0.95"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("degenerate:") and "at t=0.95" in err and "Traceback" not in err
+    assert cli.main(["eval", "--config", m1_path, "--t", "1e300", "--point", "1,1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("degenerate:") and "at t=1e+300" in err and "Traceback" not in err
+    plot = ["plot", "--config", fast, "--t0", "0.9", "--t1", "1", "--n", "3", "--out", str(tmp_path / "p.svg")]
+    assert cli.main(plot) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("degenerate:") and "at t=0.9" in err and "Traceback" not in err
+
+
+def test_overflow_while_loading_is_validation_error(tmp_path, capsys):
+    # phi' = 1 + 800 e^{800 t} overflows inside validate(), h' = -800 e^{-800 t}
+    # inside the constant-scale check
+    phi = write_config(tmp_path, "phi.json", phi=[{"kind": "poly", "coeff": 1, "param": 1},
+                                                  {"kind": "exp", "coeff": 1, "param": 800}])
+    with pytest.raises(ValidationError, match="overflows"):
+        motion_from_config(parse_config((tmp_path / "phi.json").read_text()))
+    h = write_config(tmp_path, "h.json", h=[{"kind": "exp", "coeff": 1, "param": -800}])
+    for path in (phi, h):
+        assert cli.main(["pole", "--config", path, "--t", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "overflows" in err and "Traceback" not in err
+
+
+def test_lightlike_pole_tangent_is_degenerate(tmp_path, capsys):
+    # u = t^2 / 2 gives p' = t + j, isotropic at t = 1: the arc ratio divides by zero
+    path = write_config(tmp_path, "tangent.json", u_x=[{"kind": "poly", "coeff": 0.5, "param": 2}],
+                        u_y=[{"kind": "poly", "coeff": 0, "param": 0}])
+    assert cli.main(["polecurves", "--config", path, "--t0", "0", "--t1", "1", "--n", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("degenerate:") and "at t=1" in captured.err
+
+
+def test_instants_outside_the_interval_warn(tmp_path, capsys):
+    path = write_config(tmp_path, "wide.json", interval=[-1.5, 1])
+    inside = cli.run(["pole", "--config", path, "--t", "0.5"])
+    out_inside = capsys.readouterr().out
+    report = cli.run(["pole", "--config", path, "--t", "5"])
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[0] == "t,px,py" and len(captured.out.splitlines()) == 2
+    assert out_inside.splitlines()[0] == "t,px,py"
+    warned = [line for line in captured.err.splitlines() if "interval" in line]
+    assert warned == ["warning: t=5 outside the config interval [-1.5, 1]"]
+    assert report.warnings == inside.warnings + ("t=5 outside the config interval [-1.5, 1]",)
+    assert cli.main(["pole", "--config", path, "--t0", "-2", "--t1", "5", "--n", "8"]) == 0
+    warned = [line for line in capsys.readouterr().err.splitlines() if "interval" in line]
+    assert warned == ["warning: t=-2 and 4 more outside the config interval [-1.5, 1]"]
+
+
+def test_help_lists_every_subcommand_with_its_header(m1_path, tmp_path, capsys):
+    assert cli.main(["--help"]) == 0
+    listed = {}
+    for line in capsys.readouterr().out.splitlines():
+        words = line.split()
+        if line.startswith("  ") and words and words[0] in ALL_SUBS:
+            listed[words[0]] = words[1].rstrip(":")
+    assert set(listed) == set(ALL_SUBS)
+    flags = {"eulersavary": ["--t", "0", "--a", "1", "--alpha", "0"],
+             "polecurves": ["--t0", "-0.5", "--t1", "0.5", "--n", "2"]}
+    for sub in ALL_SUBS:
+        if sub == "plot":
+            continue
+        argv = [sub, "--config", m1_path, *flags.get(sub, ["--t", "0.5"])]
+        argv += ["--point", "0.5,0.5"] if sub in POINT_SUBS else []
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[0] == listed[sub]
+
+
 def test_constant_scale_warning_on_stderr(m1_path, capsys):
     assert cli.main(["pole", "--config", m1_path, "--t", "0"]) == 0
     captured = capsys.readouterr()
