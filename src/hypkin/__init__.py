@@ -35,7 +35,6 @@ from .paths import (
     eval_hyp_jet,
     eval_jet,
     exp_term,
-    fd_jet,
     poly_term,
     sinh_term,
 )

@@ -19,12 +19,14 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .eulersavary import (
     ConjugateInput,
+    _invariants,
     canonical_invariants,
     conjugate_point,
     curvature_center_oracle,
@@ -48,6 +50,7 @@ from .paths import BasisTerm, HypPath, ScalarPath, TermKind
 
 _KINDS = {k.value: k for k in TermKind}
 _PATHS = ("h", "phi", "u_x", "u_y")  # the term-list fields of a config
+WIDTH, HEIGHT = 640, 480  # pixel size of the SVG that render_svg writes
 
 
 class ConfigError(ValueError):
@@ -173,7 +176,7 @@ def format_csv(header, rows) -> str:
 # SVG rendering
 
 
-def render_svg(samples, width: int = 640, height: int = 480) -> bytes:
+def render_svg(samples) -> bytes:
     """Standalone SVG sketch of labeled point sequences.
 
     One polyline per sequence, coordinate axes, the two isotropic guide lines
@@ -194,11 +197,11 @@ def render_svg(samples, width: int = 640, height: int = 480) -> bytes:
         xmin, xmax = xmin - 1.0, xmax + 1.0
     if ymax - ymin < 1e-9:
         ymin, ymax = ymin - 1.0, ymax + 1.0
-    sx = (width - 2 * margin) / (xmax - xmin)
-    sy = (height - 2 * margin) / (ymax - ymin)
+    sx = (WIDTH - 2 * margin) / (xmax - xmin)
+    sy = (HEIGHT - 2 * margin) / (ymax - ymin)
 
     def to_px(x, y):
-        return (margin + (x - xmin) * sx, height - margin - (y - ymin) * sy)
+        return (margin + (x - xmin) * sx, HEIGHT - margin - (y - ymin) * sy)
 
     def fmt_pt(x, y):
         px, py = to_px(x, y)
@@ -206,14 +209,14 @@ def render_svg(samples, width: int = 640, height: int = 480) -> bytes:
 
     palette = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}">',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
     ]
     # axes, clipped to the viewport by the svg element itself
     x0, y0 = to_px(0.0, 0.0)
-    out.append(f'<line x1="0" y1="{y0:.3f}" x2="{width}" y2="{y0:.3f}" stroke="#999" stroke-width="1"/>')
-    out.append(f'<line x1="{x0:.3f}" y1="0" x2="{x0:.3f}" y2="{height}" stroke="#999" stroke-width="1"/>')
+    out.append(f'<line x1="0" y1="{y0:.3f}" x2="{WIDTH}" y2="{y0:.3f}" stroke="#999" stroke-width="1"/>')
+    out.append(f'<line x1="{x0:.3f}" y1="0" x2="{x0:.3f}" y2="{HEIGHT}" stroke="#999" stroke-width="1"/>')
     # isotropic lines y = x and y = -x, dashed
     lo = min(xmin, ymin, -xmax, -ymax)
     hi = max(xmax, ymax, -xmin, -ymin)
@@ -262,14 +265,9 @@ def _invariants_row(motion, t, x, args):
     return (t, i.sigma_rate, i.sigma_rate_moving, i.tau_rate, i.taup_rate, i.r, i.rp, i.dnu_ds)
 
 
-def _eulersavary_row(motion, t, x, args):
-    if args.a is None or args.alpha is None:
-        raise ConfigError("eulersavary needs --a and --alpha")
-    if args.a == 0.0:
-        raise ConfigError("--a must be nonzero")
-    inv = canonical_invariants(motion, t)
+def _eulersavary_row(motion, t, ray, args):
     st = state(motion, t)
-    ray = jmul(exp_j(args.alpha)) * args.a  # a j e^{j alpha} in the canonical frame
+    inv = _invariants(st)[0]
     sigma = inv.sigma_rate
     try:
         conj = conjugate_point(ConjugateInput(x=ray, h=st.h, sigma=sigma, dnu=sigma * inv.dnu_ds))
@@ -283,43 +281,9 @@ def _eulersavary_row(motion, t, x, args):
 class _Command(NamedTuple):
     columns: str  # the CSV header line
     times: str  # instants taken: "any" (--t or a grid), "grid" or "t"
-    point: bool  # needs --point
+    x: Callable | None  # args -> the rows' x, read and checked before any row
     row: Callable  # (motion, t, x, args) -> one CSV row
     help: str
-
-
-_COMMANDS = {
-    "eval": _Command(
-        "t,xpx,xpy", "any", True, lambda m, t, x, args: (t, *_xy(map_point(state(m, t), x))),
-        "fixed-plane image of --point"),
-    "decompose": _Command(
-        "t,vrx,vry,vfx,vfy,vax,vay", "any", True, _decompose_row,
-        "velocity split of --point held fixed on the moving plane"),
-    "pole": _Command(
-        "t,px,py", "any", False, lambda m, t, x, args: (t, *_xy(pole_point(state(m, t)))),
-        "rotation pole in the moving plane"),
-    "polecurves": _Command(
-        "t,pmx,pmy,pfx,pfy,arc_ratio", "grid", False, _polecurves_row,
-        "both pole curves and the arc-rate ratio ds'/ds"),
-    "accel": _Command(
-        "t,brx,bry,bcx,bcy,bfx,bfy,bax,bay", "any", True, _accel_row,
-        "acceleration split of --point held fixed"),
-    "accelpole": _Command(
-        "t,qx,qy", "any", False, lambda m, t, x, args: (t, *_xy(acceleration_pole(state(m, t)))),
-        "acceleration pole in the moving plane"),
-    "invariants": _Command(
-        "t,sigma,sigma_m,tau,taup,r,rp,dnu_ds", "any", False, _invariants_row,
-        "canonical-frame rates and curvature radii"),
-    "eulersavary": _Command(
-        "r,rp,dnu_ds,ap", "t", False, _eulersavary_row,
-        "curvature radii plus the conjugate distance for --a/--alpha"),
-    "oracle": _Command(
-        "t,cx,cy", "any", True,
-        lambda m, t, x, args: (t, *_xy(curvature_center_oracle(m, x, t, args.eps))),
-        "normal-intersection curvature center of --point's trajectory"),
-}
-
-_ONLY = {"any": "", "grid": " (grid only)", "t": " (--t only)"}
 
 
 def _parse_point(args) -> HypNumber:
@@ -330,6 +294,59 @@ def _parse_point(args) -> HypNumber:
         return HypNumber(x, y)
     except ValueError as exc:
         raise ConfigError(f"--point: expected X,Y, got {args.point!r}") from exc
+
+
+def _oracle_point(args) -> HypNumber:
+    x = _parse_point(args)
+    if not 0.0 < args.eps < math.inf:
+        raise ConfigError(f"--eps must be positive and finite, got {args.eps:g}")
+    return x
+
+
+def _ray(args) -> HypNumber:
+    """The moving point of eulersavary, a j e^{j alpha} in the canonical frame."""
+    if args.a is None or args.alpha is None:
+        raise ConfigError("eulersavary needs --a and --alpha")
+    if args.a == 0.0:
+        raise ConfigError("--a must be nonzero")
+    try:
+        return jmul(exp_j(args.alpha)) * args.a
+    except (OverflowError, ValueError) as exc:
+        raise ConfigError(f"--alpha {args.alpha:g} (--a {args.a:g}): the ray is not finite") from exc
+
+
+_COMMANDS = {
+    "eval": _Command(
+        "t,xpx,xpy", "any", _parse_point, lambda m, t, x, args: (t, *_xy(map_point(state(m, t), x))),
+        "fixed-plane image of --point"),
+    "decompose": _Command(
+        "t,vrx,vry,vfx,vfy,vax,vay", "any", _parse_point, _decompose_row,
+        "velocity split of --point held fixed on the moving plane"),
+    "pole": _Command(
+        "t,px,py", "any", None, lambda m, t, x, args: (t, *_xy(pole_point(state(m, t)))),
+        "rotation pole in the moving plane"),
+    "polecurves": _Command(
+        "t,pmx,pmy,pfx,pfy,arc_ratio", "grid", None, _polecurves_row,
+        "both pole curves and the arc-rate ratio ds'/ds"),
+    "accel": _Command(
+        "t,brx,bry,bcx,bcy,bfx,bfy,bax,bay", "any", _parse_point, _accel_row,
+        "acceleration split of --point held fixed"),
+    "accelpole": _Command(
+        "t,qx,qy", "any", None, lambda m, t, x, args: (t, *_xy(acceleration_pole(state(m, t)))),
+        "acceleration pole in the moving plane"),
+    "invariants": _Command(
+        "t,sigma,sigma_m,tau,taup,r,rp,dnu_ds", "any", None, _invariants_row,
+        "canonical-frame rates and curvature radii"),
+    "eulersavary": _Command(
+        "r,rp,dnu_ds,ap", "t", _ray, _eulersavary_row,
+        "curvature radii plus the conjugate distance for --a/--alpha"),
+    "oracle": _Command(
+        "t,cx,cy", "any", _oracle_point,
+        lambda m, t, x, args: (t, *_xy(curvature_center_oracle(m, x, t, args.eps))),
+        "normal-intersection curvature center of --point's trajectory"),
+}
+
+_ONLY = {"any": "", "grid": " (grid only)", "t": " (--t only)"}
 
 
 def _times(args, mode: str) -> list[float]:
@@ -347,13 +364,16 @@ def _times(args, mode: str) -> list[float]:
 
 
 def _rows(row, motion, times, x, args) -> list:
-    """row(motion, t, x, args) at every instant; a floating-point overflow or
-    division by zero there is a degeneracy of that instant."""
+    """row(motion, t, x, args) at every finite instant.  The arguments are
+    checked before the first row, so an overflow, a division by zero or a
+    non-finite result (ValueError) in a row is a degeneracy of its instant."""
     rows = []
     for t in times:
+        if not math.isfinite(t):
+            raise ConfigError(f"instant t={t} is not finite")
         try:
             rows.append(row(motion, t, x, args))
-        except (OverflowError, ZeroDivisionError) as exc:
+        except (OverflowError, ZeroDivisionError, ValueError) as exc:
             raise ArithmeticError(f"{exc} at t={t:g}") from exc
     return rows
 
@@ -395,6 +415,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def _load(args) -> tuple[HomotheticMotion, str, list[str]]:
     """The motion, the digest of the config bytes and the config's warnings."""
     try:
@@ -428,7 +451,7 @@ def _write(args, blob: bytes) -> None:
 
 def run(argv) -> RunReport:
     """Parse, evaluate and write output; returns the report for the caller."""
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     motion, digest, warnings = _load(args)
     if args.command == "plot":
         times = _times(args, "grid")
@@ -436,7 +459,7 @@ def run(argv) -> RunReport:
         blob = _plot(motion, times, args)
     else:
         cmd = _COMMANDS[args.command]
-        x = _parse_point(args) if cmd.point else None
+        x = cmd.x(args) if cmd.x else None
         times = _times(args, cmd.times)
         header = tuple(cmd.columns.split(","))
         rows = _rows(cmd.row, motion, times, x, args)

@@ -105,7 +105,7 @@ def _invariants(st: MotionState) -> tuple[CanonicalInvariants, PoleSample]:
     sm = modulus_h(pd)
     sf = modulus_h(pdf)
     # P'' of the fixed curve P = (h p - u) e^{j phi}, from P' = h p' e^{j phi}
-    pddf = (st.twist() * pd + pdd * st.h) * st.rot
+    pddf = (st.twist * pd + pdd * st.h) * st.rot
     tau = div(pdd, pd).y
     taup = div(pddf, pdf).y
     r = sm / tau if tau != 0.0 else math.inf

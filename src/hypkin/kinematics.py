@@ -27,6 +27,7 @@ from .hypernum import HypNumber, LightlikeError, exp_j, div, jmul, modulus_h
 from .paths import HypPath, ScalarPath, eval_hyp_jet, eval_jet
 
 PHID_FLOOR = 1e-12
+SAMPLES = 101  # instants of the interval that validate() and is_homothetic() check
 
 
 def _uniform_grid(t0: float, t1: float, n: int) -> list[float]:
@@ -51,20 +52,23 @@ class HomotheticMotion:
     u: HypPath
     interval: tuple[float, float]
 
-    def validate(self, samples: int = 101) -> None:
+    def validate(self) -> None:
         """Check phi' != 0 on a uniform grid over the declared interval."""
-        for t in _uniform_grid(*self.interval, samples):
+        for t in _uniform_grid(*self.interval, SAMPLES):
             if abs(eval_jet(self.phi, t).d1) < PHID_FLOOR:
                 raise DegenerateError(f"angular velocity vanishes at t={t:g}")
 
-    def is_homothetic(self, samples: int = 101) -> bool:
+    def is_homothetic(self) -> bool:
         """False when the scale h is constant over the interval (plain motion)."""
-        return any(abs(eval_jet(self.h, t).d1) > 1e-15 for t in _uniform_grid(*self.interval, samples))
+        return any(abs(eval_jet(self.h, t).d1) > 1e-15 for t in _uniform_grid(*self.interval, SAMPLES))
 
 
 @dataclass(frozen=True)
 class MotionState:
-    """The 3-jets of (h, phi, u) at one instant, and rot = e^{j phi}."""
+    """The 3-jets of (h, phi, u) at one instant, rot = e^{j phi}, and the two
+    velocity coefficients every formula starts from: twist D = h' + j h phi'
+    and drag N = u' + j phi' u.  The sliding velocity is (D x - N) e^{j phi}
+    and the rotation pole is p = N / D."""
 
     t: float
     h: float
@@ -80,10 +84,8 @@ class MotionState:
     udd: HypNumber
     uddd: HypNumber
     rot: HypNumber
-
-    def twist(self) -> HypNumber:
-        """The velocity coefficient h' + j h phi' that multiplies pole rays."""
-        return HypNumber(self.hd, self.h * self.phid)
+    twist: HypNumber
+    drag: HypNumber
 
 
 @dataclass(frozen=True)
@@ -113,7 +115,7 @@ class PoleSample:
 
 
 def state(motion: HomotheticMotion, t: float) -> MotionState:
-    """Evaluate all jets of the motion at t."""
+    """The 3-jets of the motion at t, with D and N formed once for every formula."""
     jh = eval_jet(motion.h, t)
     jphi = eval_jet(motion.phi, t)
     if abs(jphi.d1) < PHID_FLOOR:
@@ -134,6 +136,8 @@ def state(motion: HomotheticMotion, t: float) -> MotionState:
         udd=udd,
         uddd=uddd,
         rot=exp_j(jphi.v),
+        twist=HypNumber(jh.d1, jh.v * jphi.d1),
+        drag=ud + jmul(u) * jphi.d1,
     )
 
 
@@ -155,11 +159,9 @@ def velocity_decompose(st: MotionState, x: HypNumber, xd: HypNumber) -> Velocity
     va is evaluated from its own closed expression rather than by summing the
     parts, so the composition law is a checkable identity, not a tautology.
     """
-    tw = st.twist()
-    drag = st.ud + jmul(st.u) * st.phid
     vr = (xd * st.h) * st.rot
-    vf = (tw * x - drag) * st.rot
-    va = (tw * x - drag + xd * st.h) * st.rot
+    vf = (st.twist * x - st.drag) * st.rot
+    va = (st.twist * x - st.drag + xd * st.h) * st.rot
     return VelocityDecomposition(vr, vf, va)
 
 
@@ -169,7 +171,7 @@ def sliding_velocity_pole_form(st: MotionState, x: HypNumber) -> HypNumber:
     Algebraically equal to the vf of velocity_decompose whenever the pole
     exists; kept as a second route for consistency checks.
     """
-    return (st.twist() * (x - pole_point(st))) * st.rot
+    return (st.twist * (x - pole_point(st))) * st.rot
 
 
 def pole_point(st: MotionState) -> HypNumber:
@@ -179,13 +181,11 @@ def pole_point(st: MotionState) -> HypNumber:
     instant.  Raises LightlikeError when the denominator is isotropic
     (h'^2 = h^2 phi'^2), where no finite pole exists.
     """
-    num = st.ud + jmul(st.u) * st.phid
-    den = st.twist()
-    if den.x * den.x == den.y * den.y:
+    if st.twist.x * st.twist.x == st.twist.y * st.twist.y:
         raise LightlikeError(
-            f"pole denominator {den} isotropic at t={st.t:g} (h'^2 = h^2 phi'^2)"
+            f"pole denominator {st.twist} isotropic at t={st.t:g} (h'^2 = h^2 phi'^2)"
         )
-    return div(num, den)
+    return div(st.drag, st.twist)
 
 
 def _pole_jet(st: MotionState) -> tuple[HypNumber, HypNumber, HypNumber]:
@@ -195,13 +195,12 @@ def _pole_jet(st: MotionState) -> tuple[HypNumber, HypNumber, HypNumber]:
         p' = (N' - p D') / D,    p'' = (N'' - 2 p' D' - p D'') / D
     """
     p = pole_point(st)
-    den = st.twist()
     den1 = HypNumber(st.hdd, st.hd * st.phid + st.h * st.phidd)
     den2 = HypNumber(st.hddd, st.hdd * st.phid + 2.0 * st.hd * st.phidd + st.h * st.phiddd)
     num1 = st.udd + jmul(st.u * st.phidd + st.ud * st.phid)
     num2 = st.uddd + jmul(st.u * st.phiddd + st.ud * (2.0 * st.phidd) + st.udd * st.phid)
-    pd = div(num1 - p * den1, den)
-    pdd = div(num2 - pd * den1 * 2.0 - p * den2, den)
+    pd = div(num1 - p * den1, st.twist)
+    pdd = div(num2 - pd * den1 * 2.0 - p * den2, st.twist)
     return p, pd, pdd
 
 
@@ -268,13 +267,12 @@ def acceleration_decompose(
     composition theorem stays a real identity to check.  Needs the pole and
     its derivative; pole errors propagate.
     """
-    tw = st.twist()
     quad = _quad(st)
     p, pd, _ = _pole_jet(st)
     br = (xdd * st.h) * st.rot
-    bc = ((xd * tw) * 2.0) * st.rot
-    bf = ((x - p) * quad - pd * tw) * st.rot
-    ba = ((x - p) * quad - pd * tw + (xd * tw) * 2.0 + xdd * st.h) * st.rot
+    bc = ((xd * st.twist) * 2.0) * st.rot
+    bf = ((x - p) * quad - pd * st.twist) * st.rot
+    ba = ((x - p) * quad - pd * st.twist + (xd * st.twist) * 2.0 + xdd * st.h) * st.rot
     return AccelerationDecomposition(br, bc, bf, ba)
 
 
@@ -292,4 +290,4 @@ def acceleration_pole(st: MotionState) -> HypNumber:
             f"acceleration-pole denominator {quad} isotropic at t={st.t:g}"
         )
     p, pd, _ = _pole_jet(st)
-    return p + div(pd * st.twist(), quad)
+    return p + div(pd * st.twist, quad)

@@ -7,9 +7,6 @@ and first three derivatives) at any instant with no truncation error and no
 differentiation framework.  Order 3 is what the pole curves need: the pole
 is built from first derivatives of the motion, and its tangent and turning
 rate add two more.
-
-fd_jet() is the central-difference counterpart used by the test suites to
-validate the closed forms; it is deliberately independent of eval_jet().
 """
 
 from __future__ import annotations
@@ -151,23 +148,4 @@ def eval_hyp_jet(path: HypPath, t: float) -> tuple[HypNumber, HypNumber, HypNumb
         HypNumber(jx.d1, jy.d1),
         HypNumber(jx.d2, jy.d2),
         HypNumber(jx.d3, jy.d3),
-    )
-
-
-def fd_jet(path: ScalarPath, t: float, eps: float) -> Jet3:
-    """Central-difference 3-jet, the test oracle for eval_jet.
-
-    d1 = (f(t+e) - f(t-e)) / 2e, d2 = (f(t+e) - 2 f(t) + f(t-e)) / e^2 and
-    d3 = (f(t+2e) - 2 f(t+e) + 2 f(t-e) - f(t-2e)) / 2e^3, all with O(e^2)
-    truncation error.  Roundoff grows like 1/e^k in the k-th derivative, so
-    each order wants its own step (about 1e-5, 1e-4 and 1e-3).
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    f0, fp, fm, fpp, fmm = (eval_jet(path, t + k * eps).v for k in (0, 1, -1, 2, -2))
-    return Jet3(
-        f0,
-        (fp - fm) / (2.0 * eps),
-        (fp - 2.0 * f0 + fm) / (eps * eps),
-        (fpp - 2.0 * fp + 2.0 * fm - fmm) / (2.0 * eps**3),
     )

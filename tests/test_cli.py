@@ -14,6 +14,7 @@ import math
 import pytest
 
 from hypkin import cli
+from hypkin import eulersavary, state
 from hypkin.cli import (
     ConfigError,
     MotionConfig,
@@ -349,6 +350,65 @@ def test_overflow_at_an_instant_is_degenerate(tmp_path, m1_path, capsys):
     assert cli.main(plot) == 3
     err = capsys.readouterr().err
     assert err.startswith("degenerate:") and "at t=0.9" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("sub,t,flags", [
+    ("invariants", "400", []),
+    ("decompose", "710", ["--point", "1,1"]),
+    ("accel", "400", ["--point", "1,1"]),
+])
+def test_non_finite_result_at_an_instant_is_degenerate(sub, t, flags, m1_path, capsys):
+    # M1's u = sinh t + j(cosh t - 1) stays finite, but products of its jets
+    # overflow to inf without an OverflowError
+    assert cli.main([sub, "--config", m1_path, "--t", t, *flags]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("degenerate: non-finite") and f"at t={t}" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_overflowing_alpha_is_a_usage_error(m1_path, capsys):
+    assert cli.main(["eulersavary", "--config", m1_path, "--t", "0", "--a", "1", "--alpha", "1000"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --alpha 1000") and "t=0" not in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags", [
+    ["eval", "--t", "0", "--point", "inf,0"],
+    ["oracle", "--t", "0.3", "--point", "1,1", "--eps", "0"],
+    ["oracle", "--t", "0.3", "--point", "1,1", "--eps", "nan"],
+    ["eulersavary", "--t", "0", "--a", "nan", "--alpha", "0"],
+    ["pole", "--t", "inf"],
+    ["polecurves", "--t0", "nan", "--t1", "1", "--n", "3"],
+], ids=" ".join)
+def test_bad_arguments_stay_usage_errors(flags, m1_path, capsys):
+    # arguments are checked before the first row, so none is blamed on an instant
+    assert cli.main([flags[0], "--config", m1_path, *flags[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:") and "Traceback" not in captured.err
+
+
+def test_eulersavary_row_evaluates_one_state(m1_path, monkeypatch, capsys):
+    calls = []
+
+    def counted(motion, t):
+        calls.append(t)
+        return state(motion, t)
+
+    monkeypatch.setattr(cli, "state", counted)
+    monkeypatch.setattr(eulersavary, "state", counted)
+    assert cli.main(["eulersavary", "--config", m1_path, "--t", "0", "--a", "1", "--alpha", "0"]) == 0
+    assert calls == [0.0]
+    assert capsys.readouterr().out == GOLDEN_EULERSAVARY
+
+
+def test_parser_is_built_once(m1_path, monkeypatch, capsys):
+    def refuse():
+        raise AssertionError("parser rebuilt on a call")
+
+    monkeypatch.setattr(cli, "_build_parser", refuse)
+    assert cli.main(["pole", "--config", m1_path, "--t", "0"]) == 0
+    assert capsys.readouterr().out == GOLDEN_POLE
 
 
 def test_overflow_while_loading_is_validation_error(tmp_path, capsys):

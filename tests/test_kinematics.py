@@ -10,6 +10,7 @@ from hypkin import (
     DegeneratePoleCurve,
     HypNumber,
     LightlikeError,
+    MotionState,
     ScalarPath,
     ZERO,
     acceleration_decompose,
@@ -80,6 +81,20 @@ def test_state_jets_m1():
     assert st.ud == HypNumber(1, 0)
     assert st.udd == HypNumber(0, 1)
     assert st.rot == HypNumber(1, 0)
+
+
+def test_state_carries_the_velocity_coefficients():
+    # D = h' + j h phi' and N = u' + j phi' u, formed once by state(); the
+    # state is a plain bundle of values with no method that re-forms them
+    for m in CORPUS:
+        for t in interior_times(m, 5):
+            st = state(m, t)
+            assert st.twist == HypNumber(st.hd, st.h * st.phid)
+            assert st.drag == st.ud + jmul(st.u) * st.phid
+    st = state(M1, 0.0)  # D = j, N = u'(0) = 1: the pole is 1 / j = j
+    assert (st.twist, st.drag) == (HypNumber(0, 1), HypNumber(1, 0))
+    assert pole_point(st) == HypNumber(0, 1)
+    assert not [name for name, v in vars(MotionState).items() if callable(v) and not name.startswith("__")]
 
 
 def test_state_rejects_vanishing_rotation():
@@ -196,7 +211,7 @@ def test_sliding_velocity_magnitude_multiplicative():
         x = rand_point(rng)
         vf = velocity_decompose(st, x, ZERO).vf
         p = pole_point(st)
-        expected = modulus_h(st.twist()) * modulus_h(x - p)
+        expected = modulus_h(st.twist) * modulus_h(x - p)
         assert abs(modulus_h(vf) - expected) <= 1e-10 * (1 + expected)
 
 

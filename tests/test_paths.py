@@ -14,10 +14,10 @@ from hypkin import (
     eval_hyp_jet,
     eval_jet,
     exp_term,
-    fd_jet,
     poly_term,
     sinh_term,
 )
+from oracles import fd_jet
 
 
 def test_linear_poly_jet():
