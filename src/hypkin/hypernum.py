@@ -6,8 +6,9 @@ signature (1, 1), so the induced geometry is Lorentzian rather than Euclidean:
 the lines y = +/-x consist of isotropic (lightlike) zero divisors, and the set
 of points at "distance" r > 0 from the origin is a four-branched hyperbola.
 
-Every operation here is a pure function of immutable values and is safe to
-call concurrently.
+HypNumber is an immutable __slots__ value that rejects a non-finite component
+on every construction, arithmetic results included.  Every operation here is
+a pure function of immutable values and is safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from math import isfinite
 
 
 class LightlikeError(ArithmeticError):
@@ -27,18 +29,36 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
-@dataclass(frozen=True)
 class HypNumber:
     """A hyperbolic number x + jy, the coordinate object of the Lorentzian plane."""
 
-    x: float
-    y: float
+    __slots__ = ("x", "y")
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", float(self.x))
-        object.__setattr__(self, "y", float(self.y))
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"non-finite hyperbolic number ({self.x}, {self.y})")
+    def __init__(self, x: float, y: float):
+        x, y = float(x), float(y)
+        if not (isfinite(x) and isfinite(y)):
+            raise ValueError(f"non-finite hyperbolic number ({x}, {y})")
+        _set_x(self, x)
+        _set_y(self, y)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"HypNumber is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.x, self.y) == (other.x, other.y)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.x, self.y))
+
+    def __repr__(self) -> str:
+        return f"HypNumber(x={self.x!r}, y={self.y!r})"
+
+    def __reduce__(self):
+        return HypNumber, (self.x, self.y)
 
     def __add__(self, other: "HypNumber") -> "HypNumber":
         return HypNumber(self.x + other.x, self.y + other.y)
@@ -51,15 +71,18 @@ class HypNumber:
 
     def __mul__(self, other):
         if isinstance(other, HypNumber):
-            return mul(self, other)
+            return HypNumber(self.x * other.x + self.y * other.y, self.x * other.y + self.y * other.x)
         return HypNumber(self.x * other, self.y * other)
 
-    def __rmul__(self, other):
-        return HypNumber(self.x * other, self.y * other)
+    __rmul__ = __mul__  # only reached with a scalar on the left
 
     def __truediv__(self, other):
         if isinstance(other, HypNumber):
-            return div(self, other)
+            u, v = other.x, other.y
+            den = u * u - v * v
+            if den == 0.0:
+                raise LightlikeError(f"division by isotropic number {other}")
+            return HypNumber((self.x * u - self.y * v) / den, (self.y * u - self.x * v) / den)
         return HypNumber(self.x / other, self.y / other)
 
     def __str__(self) -> str:
@@ -68,6 +91,9 @@ class HypNumber:
             return f"{_fmt(self.x)}+{_fmt(self.y)}j"
         return f"{_fmt(self.x)}-{_fmt(-self.y)}j"
 
+
+# the slots' own setters, which bypass the refusing __setattr__
+_set_x, _set_y = HypNumber.x.__set__, HypNumber.y.__set__
 
 ZERO = HypNumber(0.0, 0.0)
 ONE = HypNumber(1.0, 0.0)
@@ -99,7 +125,7 @@ class PolarForm:
 
 def mul(z: HypNumber, w: HypNumber) -> HypNumber:
     """Ring product (x+jy)(u+jv) = (xu+yv) + j(xv+yu)."""
-    return HypNumber(z.x * w.x + z.y * w.y, z.x * w.y + z.y * w.x)
+    return z * w
 
 
 def jmul(z: HypNumber) -> HypNumber:
@@ -176,10 +202,4 @@ def div(z: HypNumber, w: HypNumber) -> HypNumber:
     Raises LightlikeError when w is isotropic (a zero divisor), including
     w = 0; silent infinities are never produced.
     """
-    den = w.x * w.x - w.y * w.y
-    if den == 0.0:
-        raise LightlikeError(f"division by isotropic number {w}")
-    return HypNumber(
-        (z.x * w.x - z.y * w.y) / den,
-        (z.y * w.x - z.x * w.y) / den,
-    )
+    return z / w

@@ -156,13 +156,12 @@ def velocity_decompose(st: MotionState, x: HypNumber, xd: HypNumber) -> Velocity
         vf = [(h' + j h phi') x - (u' + j u phi')] e^{j phi}
         va = vf + vr
 
-    va is evaluated from its own closed expression rather than by summing the
-    parts, so the composition law is a checkable identity, not a tautology.
+    va rotates the sum of the unrotated parts once rather than summing vf and
+    vr, so the composition law is a checkable identity, not a tautology.
     """
-    vr = (xd * st.h) * st.rot
-    vf = (st.twist * x - st.drag) * st.rot
-    va = (st.twist * x - st.drag + xd * st.h) * st.rot
-    return VelocityDecomposition(vr, vf, va)
+    rel = xd * st.h
+    slide = st.twist * x - st.drag
+    return VelocityDecomposition(rel * st.rot, slide * st.rot, (slide + rel) * st.rot)
 
 
 def sliding_velocity_pole_form(st: MotionState, x: HypNumber) -> HypNumber:
@@ -263,17 +262,18 @@ def acceleration_decompose(
         bf = [(x - p)(h'' + h phi'^2 + j(2 h' phi' + h phi'')) - p'(h' + j h phi')] e^{j phi}
         ba = bf + bc + br
 
-    As with the velocities, ba is evaluated as one closed expression so the
-    composition theorem stays a real identity to check.  Needs the pole and
-    its derivative; pole errors propagate.
+    As with the velocities, ba rotates the sum of the unrotated parts once, so
+    the composition theorem stays a real identity to check.  Needs the pole
+    and its derivative; pole errors propagate.
     """
     quad = _quad(st)
     p, pd, _ = _pole_jet(st)
-    br = (xdd * st.h) * st.rot
-    bc = ((xd * st.twist) * 2.0) * st.rot
-    bf = ((x - p) * quad - pd * st.twist) * st.rot
-    ba = ((x - p) * quad - pd * st.twist + (xd * st.twist) * 2.0 + xdd * st.h) * st.rot
-    return AccelerationDecomposition(br, bc, bf, ba)
+    rel = xdd * st.h
+    cor = (xd * st.twist) * 2.0
+    slide = (x - p) * quad - pd * st.twist
+    return AccelerationDecomposition(
+        rel * st.rot, cor * st.rot, slide * st.rot, (slide + cor + rel) * st.rot
+    )
 
 
 def acceleration_pole(st: MotionState) -> HypNumber:

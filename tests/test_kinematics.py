@@ -435,3 +435,41 @@ def test_acceleration_pole_degenerate_raises():
 def test_acceleration_pole_stationary_pole_returns_pole():
     st = state(STATIONARY, 0.0)
     assert acceleration_pole(st) == pole_point(st)
+
+
+def count_constructions(monkeypatch, fn) -> int:
+    """HypNumber values fn() builds, counted the way perfbench/trace.py counts
+    them: by patching the class's own __init__."""
+    init, count = HypNumber.__init__, [0]
+
+    def counting_init(obj, *args, **kwargs):
+        count[0] += 1
+        init(obj, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(HypNumber, "__init__", counting_init)
+        fn()
+    return count[0]
+
+
+def test_construction_counts(monkeypatch):
+    # machine-independent cost floor: each shared subterm is built once
+    rng = random.Random(41)
+    for m in CORPUS:
+        t = interior_times(m, 3)[1]
+        st = state(m, t)
+        points = [(rand_point(rng), rand_point(rng)) for _ in range(8)]
+        x, xd, xdd = points[0][0], points[0][1], rand_point(rng)
+
+        def first_order_op():
+            s = state(m, t)
+            for p, pd in points:
+                map_point(s, p)
+                velocity_decompose(s, p, pd)
+            pole_point(s)
+            sliding_velocity_pole_form(s, x)
+
+        assert count_constructions(monkeypatch, lambda: state(m, t)) == 9
+        assert count_constructions(monkeypatch, lambda: velocity_decompose(st, x, xd)) == 7
+        assert count_constructions(monkeypatch, first_order_op) == 94
+        assert count_constructions(monkeypatch, lambda: acceleration_decompose(st, x, xd, xdd)) == 38
