@@ -150,7 +150,8 @@ def serialize_config(cfg: MotionConfig) -> bytes:
 
 
 def motion_from_config(cfg: MotionConfig) -> HomotheticMotion:
-    """Build the motion and check phi' on a 101-point grid over the interval."""
+    """Build the motion and run validate(): phi' is sampled at 101 instants of
+    the interval, and a vanishing or overflowing phi' is a ValidationError."""
     motion = HomotheticMotion(
         h=ScalarPath(cfg.h),
         phi=ScalarPath(cfg.phi),
@@ -273,7 +274,10 @@ def _eulersavary_row(motion, t, ray, args):
         conj = conjugate_point(ConjugateInput(x=ray, h=st.h, sigma=sigma, dnu=sigma * inv.dnu_ds))
     except LightlikeError as exc:
         raise LightlikeError(f"conjugate point at infinity (inflection circle) at t={t:g}") from exc
-    pf = polar(conj)
+    try:
+        pf = polar(conj)
+    except LightlikeError as exc:
+        raise LightlikeError(f"{exc} at t={t:g}") from exc
     ap = -pf.r if pf.branch in (Branch.HIII, Branch.HIV) else pf.r  # left/lower branch: negative
     return (inv.r, inv.rp, inv.dnu_ds, ap)
 
@@ -310,9 +314,12 @@ def _ray(args) -> HypNumber:
     if args.a == 0.0:
         raise ConfigError("--a must be nonzero")
     try:
-        return jmul(exp_j(args.alpha)) * args.a
+        ray = jmul(exp_j(args.alpha)) * args.a
     except (OverflowError, ValueError) as exc:
         raise ConfigError(f"--alpha {args.alpha:g} (--a {args.a:g}): the ray is not finite") from exc
+    if abs(ray.x) == abs(ray.y):  # cosh alpha == sinh alpha in floats once |alpha| > ~18.7
+        raise ConfigError(f"--alpha {args.alpha:g} (--a {args.a:g}): the ray is isotropic")
+    return ray
 
 
 _COMMANDS = {

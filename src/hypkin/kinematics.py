@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .hypernum import HypNumber, LightlikeError, exp_j, div, jmul, modulus_h
-from .paths import HypPath, ScalarPath, eval_hyp_jet, eval_jet
+from .paths import HypPath, ScalarPath, _rates, eval_hyp_jet, eval_jet
 
 PHID_FLOOR = 1e-12
 SAMPLES = 101  # instants of the interval that validate() and is_homothetic() check
@@ -53,14 +53,20 @@ class HomotheticMotion:
     interval: tuple[float, float]
 
     def validate(self) -> None:
-        """Check phi' != 0 on a uniform grid over the declared interval."""
-        for t in _uniform_grid(*self.interval, SAMPLES):
-            if abs(eval_jet(self.phi, t).d1) < PHID_FLOOR:
+        """Check |phi'| >= PHID_FLOOR at the SAMPLES instants of the interval's
+        uniform grid, in order: the DegenerateError names the first instant
+        that fails, and an OverflowError of phi' comes at the first instant
+        where it overflows.  Between the samples phi' is not checked."""
+        times = _uniform_grid(*self.interval, SAMPLES)
+        for t, phid in zip(times, _rates(self.phi, times)):
+            if abs(phid) < PHID_FLOOR:
                 raise DegenerateError(f"angular velocity vanishes at t={t:g}")
 
     def is_homothetic(self) -> bool:
-        """False when the scale h is constant over the interval (plain motion)."""
-        return any(abs(eval_jet(self.h, t).d1) > 1e-15 for t in _uniform_grid(*self.interval, SAMPLES))
+        """False when |h'| <= 1e-15 at all SAMPLES grid instants (constant
+        scale, a plain motion).  It stops at the first instant where h'
+        varies, so an h' that would overflow only later raises nothing."""
+        return any(abs(hd) > 1e-15 for hd in _rates(self.h, _uniform_grid(*self.interval, SAMPLES)))
 
 
 @dataclass(frozen=True)

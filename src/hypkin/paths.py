@@ -139,6 +139,30 @@ def eval_jet(path: ScalarPath, t: float) -> Jet3:
     return Jet3(v, d1, d2, d3)
 
 
+def _rates(path: ScalarPath, times):
+    """path'(t) at each of the times in turn, lazily, for the load-time checks.
+
+    Each value is eval_jet(path, t).d1 bit for bit (the same per-term
+    expressions summed in the same order) and the same OverflowError comes
+    at the same instant, since t**k, cosh and sinh are still evaluated; the
+    value and the higher derivatives are not.  Power-0 terms add exactly 0.
+    """
+    terms = [(tm.kind, tm.coeff * tm.param, tm.param, int(tm.param)) for tm in path.terms
+             if tm.kind is not TermKind.POLY or tm.param != 0.0]
+    for t in times:
+        d1 = 0.0
+        for kind, cp, p, k in terms:
+            if kind is TermKind.POLY:
+                t**k  # noqa: B018 -- eval_jet's value term, which may overflow
+                d1 += cp * t ** (k - 1)
+            elif kind is TermKind.EXP:
+                d1 += cp * math.exp(p * t)
+            else:
+                ch, sh = math.cosh(p * t), math.sinh(p * t)
+                d1 += cp * (sh if kind is TermKind.COSH else ch)
+        yield d1
+
+
 def eval_hyp_jet(path: HypPath, t: float) -> tuple[HypNumber, HypNumber, HypNumber, HypNumber]:
     """Componentwise jets of a hyperbolic path: (u, u', u'', u''')."""
     jx = eval_jet(path.xpath, t)

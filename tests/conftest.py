@@ -1,4 +1,6 @@
 import os
 import sys
 
-sys.path.insert(0, os.path.dirname(__file__))
+TESTS = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, TESTS)
+sys.path.insert(1, os.path.dirname(TESTS))  # the repository root, for perfbench

@@ -1,10 +1,13 @@
-"""The finite-difference oracle for the closed-form jets of hypkin.paths.
+"""Test-side references for hypkin.paths and the load-time motion checks.
 
-It lives with the tests because no library formula uses it: every
-derivative hypkin reports is exact, and this is the independent side it is
-checked against.
+The finite-difference oracle lives with the tests because no library
+formula uses it: every derivative hypkin reports is exact, and this is the
+independent side it is checked against.  The two load checks below are the
+full-jet versions of HomotheticMotion.validate() and is_homothetic(), which
+read phi' and h' from a lean first-derivative kernel instead.
 """
 
+from hypkin.kinematics import PHID_FLOOR, SAMPLES, DegenerateError, _uniform_grid
 from hypkin.paths import Jet3, ScalarPath, eval_jet
 
 
@@ -25,3 +28,15 @@ def fd_jet(path: ScalarPath, t: float, eps: float) -> Jet3:
         (fp - 2.0 * f0 + fm) / (eps * eps),
         (fpp - 2.0 * fp + 2.0 * fm - fmm) / (2.0 * eps**3),
     )
+
+
+def validate_reference(motion) -> None:
+    """HomotheticMotion.validate() from eval_jet's full 3-jet at each sample."""
+    for t in _uniform_grid(*motion.interval, SAMPLES):
+        if abs(eval_jet(motion.phi, t).d1) < PHID_FLOOR:
+            raise DegenerateError(f"angular velocity vanishes at t={t:g}")
+
+
+def is_homothetic_reference(motion) -> bool:
+    """HomotheticMotion.is_homothetic() from eval_jet's full 3-jet at each sample."""
+    return any(abs(eval_jet(motion.h, t).d1) > 1e-15 for t in _uniform_grid(*motion.interval, SAMPLES))

@@ -14,7 +14,7 @@ import math
 import pytest
 
 from hypkin import cli
-from hypkin import eulersavary, state
+from hypkin import HypNumber, eulersavary, state
 from hypkin.cli import (
     ConfigError,
     MotionConfig,
@@ -371,6 +371,24 @@ def test_overflowing_alpha_is_a_usage_error(m1_path, capsys):
     assert cli.main(["eulersavary", "--config", m1_path, "--t", "0", "--a", "1", "--alpha", "1000"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: --alpha 1000") and "t=0" not in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("alpha", ["20", "-20", "710"])
+def test_isotropic_ray_is_a_usage_error(alpha, m1_path, capsys):
+    # once |alpha| > ~18.7, cosh alpha == sinh alpha in floats: a j e^{j alpha} is isotropic
+    assert cli.main(["eulersavary", "--config", m1_path, "--t", "0.3", "--a", "1", f"--alpha={alpha}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: --alpha {alpha} ")
+    assert "isotropic" in captured.err and "t=" not in captured.err and "Traceback" not in captured.err
+    assert cli.main(["eulersavary", "--config", m1_path, "--t", "0.3", "--a", "1", "--alpha", "18"]) == 0
+    assert capsys.readouterr().out.startswith("r,rp,dnu_ds,ap\n")
+
+
+def test_isotropic_conjugate_point_names_its_instant(m1_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "conjugate_point", lambda inp: HypNumber(1.0, -1.0))
+    assert cli.main(["eulersavary", "--config", m1_path, "--t", "0.3", "--a", "1", "--alpha", "0"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("degenerate: no polar form on isotropic line") and "at t=0.3" in err
 
 
 @pytest.mark.parametrize("flags", [

@@ -1,5 +1,6 @@
 """Velocity, pole and acceleration identities of the homothetic motion."""
 
+import json
 import math
 import random
 
@@ -30,8 +31,12 @@ from hypkin import (
     state,
     velocity_decompose,
 )
-from hypkin.paths import exp_term
+from hypkin.cli import parse_config
+from hypkin.kinematics import HomotheticMotion
+from hypkin.paths import HypPath, exp_term
+from perfbench import gen
 
+import motions
 from motions import (
     CONSTH,
     CORPUS,
@@ -46,6 +51,7 @@ from motions import (
     motion,
     rand_point,
 )
+from oracles import is_homothetic_reference, validate_reference
 
 
 def close(a: HypNumber, b: HypNumber, tol: float) -> bool:
@@ -120,6 +126,64 @@ def test_motion_validate_grid():
     with pytest.raises(DegenerateError):
         drifting.validate()
     M1.validate()
+
+
+def unvalidated(cfg: dict) -> HomotheticMotion:
+    c = parse_config(json.dumps(cfg))
+    return HomotheticMotion(ScalarPath(c.h), ScalarPath(c.phi), HypPath(ScalarPath(c.u_x), ScalarPath(c.u_y)),
+                            c.interval)
+
+
+def load_check_motions() -> dict:
+    """The corpus, the benchmark's motion shapes and the overflow configs of
+    the CLI tests, none of them validated yet."""
+    out = {name: m for name, m in vars(motions).items() if isinstance(m, HomotheticMotion)}
+    for seed in (1, 2, 3):
+        rng = random.Random(f"load-checks:{seed}")
+        for k in range(12):
+            out[f"bench-{seed}-{k}"] = unvalidated(gen.motion_config(rng, k))
+        out[f"bench-degenerate-{seed}"] = unvalidated(gen.degenerate_config(rng, 8)[0])
+
+    def term(kind, coeff, param):
+        return {"kind": kind, "coeff": coeff, "param": param}
+
+    for name, override in {
+        "h-exp-800": {"h": [term("exp", 1, 800)]},  # the constant-scale test stops before h' overflows
+        "h-exp-minus-800": {"h": [term("exp", 1, -800)]},  # h' overflows at the first sample
+        "h-cosh-800": {"h": [term("cosh", 1, 800), term("poly", 1, 300)]},
+        "h-t-300-wide": {"h": [term("poly", 1, 300)], "interval": [-20, 20]},  # t**300 overflows
+        "phi-exp-800": {"phi": [term("poly", 1, 1), term("exp", 1, 800)]},  # phi' overflows near t = 0.89
+        "phi-constant": {"phi": [term("poly", 1, 0)]},
+        "phi-t-squared": {"phi": [term("poly", 1, 2)]},  # phi' = 0 at the middle sample
+        "phi-exp": {"phi": [term("exp", 1, 1)]},
+        "phi-t-squared-wide": {"phi": [term("poly", -0.003, 1), term("poly", 1, 2)]},  # phi' = 0 between samples
+    }.items():
+        out[name] = unvalidated({**gen.M1_CONFIG, **override})
+    return out
+
+
+def outcome(check, m):
+    try:
+        return check(m)
+    except ArithmeticError as exc:  # DegenerateError and OverflowError
+        return type(exc), str(exc)
+
+
+def test_load_checks_match_the_full_jet_reference():
+    validate, homothetic = {}, {}
+    for name, m in load_check_motions().items():
+        validate[name] = outcome(HomotheticMotion.validate, m)
+        homothetic[name] = outcome(HomotheticMotion.is_homothetic, m)
+        assert validate[name] == outcome(validate_reference, m), name
+        assert homothetic[name] == outcome(is_homothetic_reference, m), name
+    # every decision is represented, so the comparison is not vacuous
+    assert validate["M1"] is None and validate["phi-t-squared-wide"] is None
+    assert validate["phi-t-squared"] == (DegenerateError, "angular velocity vanishes at t=0")
+    assert validate["phi-constant"][0] is DegenerateError
+    assert validate["phi-exp-800"][0] is OverflowError
+    assert homothetic["h-exp-800"] is True and homothetic["M1"] is False and homothetic["HOM1"] is True
+    assert homothetic["h-exp-minus-800"][0] is OverflowError
+    assert homothetic["h-t-300-wide"] == (OverflowError, "(34, 'Numerical result out of range')")
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hypkin import (
     BasisTerm,
@@ -17,6 +19,7 @@ from hypkin import (
     poly_term,
     sinh_term,
 )
+from hypkin.paths import _rates
 from oracles import fd_jet
 
 
@@ -146,3 +149,72 @@ def test_basis_term_validation():
     with pytest.raises(ValueError):
         BasisTerm(TermKind.COSH, math.inf, 1.0)
     BasisTerm(TermKind.COSH, 1.0, 1.5)  # non-integer frequency is fine
+
+
+# ---------------------------------------------------------------------------
+# _rates: the first-derivative kernel of the load-time checks
+
+# instants near the edges of the float range: exp(w t) overflows past
+# w t = 709.78, cosh and sinh past 710.48, and t**300 past |t| = 10.6
+instants = st.one_of(
+    st.floats(-3, 3),
+    st.floats(1, 12) | st.floats(-12, -1),
+    st.floats(709, 711.5) | st.floats(-711.5, -709),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 709.78, 710.48, 10.6]),
+)
+coeffs = st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0, 1e300, -1e300, 1.7e308])
+freqs = st.sampled_from([1.0, -1.0, 2.0, 0.5]) | st.floats(-3, 3)
+terms = st.one_of(
+    st.builds(poly_term, coeffs, st.integers(0, 4) | st.integers(0, 300)),
+    st.builds(cosh_term, coeffs, freqs),
+    st.builds(sinh_term, coeffs, freqs),
+    st.builds(exp_term, coeffs, freqs),
+)
+
+
+def reference_rates(path, times):
+    """eval_jet's d1 at each instant up to the first OverflowError, and the
+    index of that instant (None when none overflows)."""
+    out = []
+    for i, t in enumerate(times):
+        try:
+            out.append(eval_jet(path, t).d1)
+        except OverflowError:
+            return out, i
+    return out, None
+
+
+def kernel_rates(path, times):
+    out = []
+    rates = _rates(path, times)
+    try:
+        for rate in rates:
+            out.append(rate)
+    except OverflowError:
+        return out, len(out)
+    return out, None
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(terms, min_size=1, max_size=5), st.lists(instants, min_size=1, max_size=8))
+@example([poly_term(2.0, 0), poly_term(-3.0, 1)], [0.0, 1.0])  # phi' from power-1 alone
+@example([exp_term(1.0, 1.0)], [709.0, 709.78, 709.79, 0.0])
+@example([cosh_term(1.0, 1.0), sinh_term(-1.0, 1.0)], [710.4, 710.48, 710.5])
+@example([poly_term(1.0, 300)], [10.5, 10.6, 10.7])
+@example([poly_term(1e300, 2), poly_term(-1e300, 2), poly_term(1.7e308, 3)], [5.0])  # inf - inf
+def test_rates_are_eval_jet_d1_bit_for_bit(terms, times):
+    path = ScalarPath(tuple(terms))
+    expected, stop = reference_rates(path, times)
+    got, got_stop = kernel_rates(path, times)
+    assert got_stop == stop  # the same first overflowing instant, or none
+    # repr tells nan, inf and the sign of zero apart
+    assert [repr(r) for r in got] == [repr(r) for r in expected]
+
+
+def test_rates_are_lazy():
+    # exp(800 t) overflows at t = 1 only; the instants before it are yielded first
+    rates = _rates(ScalarPath((exp_term(1.0, 800.0),)), [0.0, 0.5, 1.0])
+    assert next(rates) == 800.0
+    assert next(rates) == 800.0 * math.exp(400.0)
+    with pytest.raises(OverflowError):
+        next(rates)
